@@ -168,26 +168,27 @@ def _parse_window(text: str, count: int) -> Tuple[Tuple[int, int], ...]:
 
 
 class Reporter:
+    """Counts record statuses; `inconclusive` (nothing nonzero compared)
+    is neither a pass nor a failure."""
+
     def __init__(self, json_only: bool):
         self.json_only = json_only
-        self.failed = 0
-        self.passed = 0
+        self.counts = {"pass": 0, "inconclusive": 0, "fail": 0}
 
     def emit(self, record: dict):
         print(json.dumps(record, sort_keys=True))
         status = record.get("status")
-        if status == "fail":
-            self.failed += 1
-        elif status == "pass":
-            self.passed += 1
+        if status in self.counts:
+            self.counts[status] += 1
 
     def summary(self):
+        c = self.counts
         if not self.json_only:
             print(
-                f"{self.passed} identities passed, {self.failed} failed",
+                f"{c['pass']} identities passed, {c['inconclusive']} inconclusive, {c['fail']} failed",
                 file=sys.stderr,
             )
-        return 1 if self.failed else 0
+        return 1 if c["fail"] else 0
 
 
 # -- suites --------------------------------------------------------------------
@@ -259,14 +260,14 @@ def _suite_wick(rep, space, rng, max_weight2, window, rmax, smax):
             {
                 "suite": "wick",
                 "identity": f"weak_associativity_{trial}",
-                "status": "pass" if res["status"] in ("pass", "inconclusive") else "fail",
+                "status": res["status"],
                 "counterexample": res["mismatches"][:1],
             }
         )
 
 
 def _suite_delta(rep, space, coeffs, rng, max_weight2, window):
-    gens = [rng.randrange(space.dim) if space.dim else 0 for _ in range(8)]
+    gens = [rng.randrange(space.dim) for _ in range(8)]
     levels = [rng.randint(0, 3) for _ in range(8)]
     bad = []
     for size in (2, 4, 6, 8):
@@ -309,14 +310,13 @@ def _suite_delta(rep, space, coeffs, rng, max_weight2, window):
         }
     )
     samples = [random_state(rng, space, max_weight2) for _ in range(4)]
-    res = check_exp_delta_neg_comm(
-        space, coeffs, rng.randrange(space.dim) if space.dim else 0, rng.randint(0, 1), samples, window
-    )
+    gen, m = rng.randrange(space.dim), rng.randint(0, 1)
+    res = check_exp_delta_neg_comm(space, coeffs, gen, m, samples, window)
     rep.emit(
         {
             "suite": "delta",
             "identity": "exp_negative_commutator",
-            "status": "pass" if res["status"] in ("pass", "inconclusive") else "fail",
+            "status": res["status"],
             "counterexample": res["mismatches"][:1],
         }
     )
@@ -334,7 +334,7 @@ def _suite_pbw(rep, space, rng, trials=60):
                 if rng.random() < 0.15:
                     entries.append(K)
                 else:
-                    entries.append((rng.randrange(space.dim) if space.dim else 0, rng.randint(-3, 2)))
+                    entries.append((rng.randrange(space.dim), rng.randint(-3, 2)))
             word = tuple(entries)
             if 0 < defect(word) <= 4:
                 break
@@ -355,6 +355,11 @@ def _suite_pbw(rep, space, rng, trials=60):
 def cmd_check(args) -> int:
     config, coeffs = load_config(args.config)
     space = config.space
+    if not space.dim:
+        raise UsageError("check needs at least one generator pair (config M >= 1)")
+    for flag in ("r", "s", "max_weight"):
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative")
     rep = Reporter(args.json)
     rng = random.Random(args.seed)
     max_w2 = 2 * args.max_weight

@@ -5,7 +5,8 @@ The operator is sum_{i, m, n} C_mn e_i(m+1/2) fbar_i(n+1/2) x^(-m-n-1)
 over the polarized basis; antisymmetry C_mn = -C_nm makes it basis
 independent.  Acting on a word it deletes one pair of modes per step, so
 its exponential is a finite sum whose coefficients are the signed
-perfect-matching sums computed here by three independent routes.
+perfect-matching sums: Pfaffians of the bracket matrix, with two slower
+independent routes kept as oracles.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .fock import FockVector, HSpace, apply_mode
+from .pfaffian import pfaffian
 from .scalars import binom
 
 ExpGrid = Dict[int, FockVector]  # exponent of the formal variable -> state
@@ -113,6 +115,17 @@ def _check_indices(indices: Sequence[int]) -> Tuple[int, ...]:
     return idx
 
 
+def _bracket_kernel(space: HSpace, C: DeltaCoeffs, slots: Sequence[Tuple[int, int]]):
+    """Nonzero brackets of (gen, level) slots p < q, as a Pfaffian kernel."""
+    kernel: Dict[int, Dict[int, Fraction]] = {}
+    for p, (g1, m1) in enumerate(slots):
+        for q in range(p + 1, len(slots)):
+            b = bracket(space, C, g1, m1, *slots[q])
+            if b:
+                kernel.setdefault(p, {})[q] = b
+    return kernel
+
+
 def t_number(
     space: HSpace,
     C: DeltaCoeffs,
@@ -120,25 +133,11 @@ def t_number(
     levels: Sequence[int],
     indices: Sequence[int],
 ) -> Fraction:
-    """Total contraction number by the defining first-slot recursion."""
+    """Total contraction number: the Pfaffian of the bracket matrix on `indices`."""
     idx = _check_indices(indices)
-    pairs = [(gens[i], levels[i]) for i in idx]
-
-    def rec(items: Tuple[Tuple[int, int], ...]) -> Fraction:
-        if not items:
-            return Fraction(1)
-        (g1, m1) = items[0]
-        total = Fraction(0)
-        for k in range(1, len(items)):
-            gk, mk = items[k]
-            b = bracket(space, C, g1, m1, gk, mk)
-            if b:
-                sign = 1 if (k + 1) % 2 == 0 else -1  # (-1)^k with k 1-based at k+1
-                rest = items[1:k] + items[k + 1 :]
-                total += sign * b * rec(rest)
-        return total
-
-    return rec(tuple(pairs))
+    kernel = _bracket_kernel(space, C, [(gens[i], levels[i]) for i in idx])
+    full = (1 << len(idx)) - 1
+    return pfaffian(kernel, [full], Fraction(1))[full]
 
 
 def t_number_alt(
@@ -227,20 +226,24 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
 
     for word, cw in vec.terms.items():
         r = len(word)
-        gens = [g for g, _ in word]
         levels = [-l - 1 for _, l in word]
-        for t in range(r // 2 + 1):
-            if t == 0:
-                add(0, FockVector.word(word, cw))
+        add(0, FockVector.word(word, cw))
+        # every deleted set is a principal minor of one bracket Pfaffian
+        deleted = [
+            (idx, sum(1 << i for i in idx))
+            for t in range(1, r // 2 + 1)
+            for idx in combinations(range(r), 2 * t)
+        ]
+        kernel = _bracket_kernel(space, C, [(g, m) for (g, _), m in zip(word, levels)])
+        minors = pfaffian(kernel, [mask for _, mask in deleted], Fraction(1))
+        for idx, mask in deleted:
+            tval = minors[mask]
+            if not tval:
                 continue
-            for idx in combinations(range(r), 2 * t):
-                tval = t_number(space, C, gens, levels, idx)
-                if not tval:
-                    continue
-                sign = -1 if (sum(idx) + len(idx)) & 1 else 1  # 1-based position sum
-                exp = -sum(levels[i] for i in idx) - t
-                keep = tuple(word[i] for i in range(r) if i not in idx)
-                add(exp, FockVector.word(keep, cw * tval * sign))
+            sign = -1 if (sum(idx) + len(idx)) & 1 else 1  # 1-based position sum
+            exp = -sum(levels[i] for i in idx) - len(idx) // 2
+            keep = tuple(word[i] for i in range(r) if i not in idx)
+            add(exp, FockVector.word(keep, cw * tval * sign))
     return out
 
 

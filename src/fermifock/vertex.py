@@ -299,6 +299,24 @@ def _wt2_max(v: FockVector) -> int:
     return max(weight2(w) for w in v.terms)
 
 
+def _iterate_band(space: HSpace, u1: FockVector, u2: FockVector, w: FockVector, box: Box, P: int):
+    """Iterate grid d[k1, k2] on the cells the weak-associativity comparison
+    reads: d[j1 - P + i, j2 - i] for 0 <= i <= P and (j1, j2) in the box.
+
+    Row k1 is needed only for k2 in [lo2 - min(P, k1-lo1+P), hi2 - max(0, k1-hi1+P)].
+    """
+    (lo1, hi1), (lo2, hi2) = box.intervals
+    grid: Dict[Tuple[int, int], FockVector] = {}
+    for k1 in range(lo1 - P, hi1 + 1):
+        a = y_coeff(space, u1, k1, u2)
+        if not a:
+            continue
+        row = y_series(space, a, w, lo2 - min(P, k1 - lo1 + P), hi2 - max(0, k1 - hi1 + P))
+        for (k2,), vec in row.coeffs.items():
+            grid[(k1, k2)] = vec
+    return grid
+
+
 def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> dict:
     """Compare (x0+x2)^P * product against (x0+x2)^P * iterate on a box.
 
@@ -331,15 +349,7 @@ def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> d
         for (k1,), vec in outer.coeffs.items():
             prod_grid[(k1, k2)] = vec
 
-    # iterate grid d[k1, k2], batched per k1 row
-    iter_grid: Dict[Tuple[int, int], FockVector] = {}
-    for k1 in range(lo1 - P, hi1 + 1):
-        a = y_coeff(space, u1, k1, u2)
-        if not a:
-            continue
-        row = y_series(space, a, w, lo2 - P, hi2)
-        for (k2,), vec in row.coeffs.items():
-            iter_grid[(k1, k2)] = vec
+    iter_grid = _iterate_band(space, u1, u2, w, box, P)
 
     mismatches = []
     seen_nonzero = False

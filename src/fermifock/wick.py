@@ -14,6 +14,10 @@ coefficient (x^(-n-1))^(m) and re-centers surviving A factors at y+x.
 
 Normal ordering here is a formal mark on an ordered factor list; factors
 are never reordered (creation parts have no relations to exploit).
+
+Vacuum correlation functions keep only the fully contracted terms of
+the iterated product, so they are Pfaffians of the factor-level kernel;
+folding the products (`noexpr_mul`) is kept as the slow oracle.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ from itertools import combinations, permutations
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .fock import FockVector, HSpace, Word
+from .pfaffian import pfaffian
 from .ratfun import RationalFunction, f_mn
 from .scalars import binom
 from .vertex import Cell, series_into, wrap_table
@@ -218,26 +223,28 @@ def vacuum_expectation(expr: NOExpr) -> RationalFunction:
     return total
 
 
-def correlation(space: HSpace, insertions: Sequence[Tuple[Word, str]], fold: str = "left") -> RationalFunction:
+def correlation(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> RationalFunction:
     """Vacuum-to-vacuum matrix element of a string of vertex operators,
-    as an exact rational function of the insertion variables."""
+    as an exact rational function of the insertion variables.
+
+    By Wick's theorem it is the Pfaffian of the factor-level kernel
+    A[p][q] = (a_p, a_q) f_{m_p n_q}(z_i, z_j) for factor p of insertion i
+    and factor q of a later insertion j; factors of one insertion never
+    contract.  The `noexpr_mul` fold computes the same value term by term.
+    """
     names = [v for _, v in insertions]
     if len(set(names)) != len(names):
         raise ValueError("insertion variables must be distinct")
-    groups = [NOExpr([(RationalFunction.from_scalar(1), word_factors(w, v))]) for w, v in insertions]
-    if not groups:
-        return RationalFunction.from_scalar(1)
-    if fold == "left":
-        expr = groups[0]
-        for g in groups[1:]:
-            expr = noexpr_mul(space, expr, g)
-    elif fold == "right":
-        expr = groups[-1]
-        for g in reversed(groups[:-1]):
-            expr = noexpr_mul(space, g, expr)
-    else:
-        raise ValueError("fold must be 'left' or 'right'")
-    return vacuum_expectation(expr)
+    factors = [(i, f) for i, (w, v) in enumerate(insertions) for f in word_factors(w, v)]
+    kernel: Dict[int, Dict[int, RationalFunction]] = {}
+    for p, (i, fp) in enumerate(factors):
+        for q in range(p + 1, len(factors)):
+            j, fq = factors[q]
+            pairing = space.pair(fp.gen, fq.gen) if j != i else 0
+            if pairing:
+                kernel.setdefault(p, {})[q] = f_mn(fp.deriv, fq.deriv, fp.var, fq.var).scale(pairing)
+    full = (1 << len(factors)) - 1
+    return pfaffian(kernel, [full], RationalFunction.from_scalar(1))[full]
 
 
 # -- windowed evaluation of closed forms ------------------------------------

@@ -176,3 +176,32 @@ def test_cli_expand_constant_on_point_window():
 def test_cli_check_accepts_short_window():
     proc = run_cli(["--json", "check", "--suite", "axioms", "--seed", "2", "--window=-4,4"])
     assert proc.returncode == 0
+
+
+def test_cli_check_reports_inconclusive(capsys):
+    argv = ["check", "--suite", "wick", "--r", "0", "--s", "0", "--seed", "0"]
+    argv += ["--max-weight", "1", "--window=5,6"]
+    assert main(["--json", *argv]) == 0
+    statuses = {r["identity"]: r["status"] for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert statuses["weak_associativity_2"] == "inconclusive"
+    assert set(statuses.values()) == {"pass", "inconclusive"}
+    assert main(argv) == 0  # the summary on stderr counts the two apart
+    values = list(statuses.values())
+    passed, inconclusive = values.count("pass"), values.count("inconclusive")
+    assert f"{passed} identities passed, {inconclusive} inconclusive, 0 failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--r", "--s", "--max-weight"])
+def test_cli_check_rejects_negative_counts(flag, capsys):
+    assert main(["--json", "check", "--suite", "wick", flag, "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("suite", ["wick", "delta", "pbw"])
+def test_cli_check_refuses_config_without_generators(suite, tmp_path, capsys):
+    cfg = tmp_path / "m0.json"
+    cfg.write_text('{"M": 0}')
+    assert main(["--config", str(cfg), "--json", "check", "--suite", suite]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")

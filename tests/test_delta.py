@@ -210,6 +210,36 @@ def test_exp_delta_closed_form_matches_iterated_powers():
         assert exp_delta(space, C, v) == want
 
 
+def test_dense_ten_modes_closed_forms_match_oracles():
+    """No bracket vanishes: the memoised Pfaffian route of exp_delta and
+    t_number against the iterated powers and the two slow recursions."""
+    rng = random.Random(89)
+    gram = [[1, 2, 1, 3], [2, 1, 1, 1], [1, 1, 2, 1], [3, 1, 1, 1]]
+    space = HSpace(2, gram)
+    C = DeltaCoeffs({(m, n): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                     for m in range(10) for n in range(m + 1, 10)})
+    word = tuple((rng.randrange(4), -m - 1) for m in rng.sample(range(10), 10))
+    short = tuple((rng.randrange(4), -m - 1) for m in rng.sample(range(10), 7))
+    gens = [g for g, _ in word]
+    levels = [-l - 1 for _, l in word]
+    for idx in ((0, 3, 4, 9), tuple(range(10))):
+        a = t_number(space, C, gens, levels, idx)
+        assert a and a == t_number_alt(space, C, gens, levels, idx)
+        assert a == t_number_pairings(space, C, gens, levels, idx)
+    v = FockVector.word(word) + FockVector.word(short, Fraction(-2, 3))
+    want = {}
+    for t in range(6):
+        for e, w in delta_power_over_factorial(space, C, v, t).items():
+            s = want.get(e, FockVector()) + w
+            if s:
+                want[e] = s
+            else:
+                want.pop(e, None)
+    got = exp_delta(space, C, v)
+    assert got == want
+    assert () in got[min(got)].terms  # the full contraction survives
+
+
 def test_delta_nilpotency():
     rng = random.Random(83)
     for _ in range(10):

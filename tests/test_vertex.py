@@ -17,6 +17,7 @@ from fermifock.fock import (
 from fermifock.laurent import Box
 from fermifock.scalars import binom
 from fermifock.vertex import (
+    _iterate_band,
     check_axioms,
     check_weak_associativity,
     enumerate_shuffles,
@@ -262,6 +263,39 @@ def test_weak_associativity_random_triples():
         w = random_state(rng, SPACE, 4)
         report = check_weak_associativity(SPACE, u1, u2, w, box)
         assert report["status"] == "pass", report
+
+
+def test_iterate_band_matches_full_window_on_read_cells():
+    """The banded iterate rows of the weak-associativity check equal the
+    rows on the full x2 window [lo2 - P, hi2] on every cell the comparison
+    reads, d[j1 - P + i, j2 - i] with 0 <= i <= P; criterion-2 triples."""
+    rng = random.Random(77001)
+    box = Box(("x0", "x2"), ((-4, 4), (-4, 4)))
+    (lo1, hi1), (lo2, hi2) = box.intervals
+    pole_orders = []
+    read_nonzero = 0
+    for _ in range(40):
+        u1 = FockVector.word(random_word(rng, SPACE, 6))
+        u2 = FockVector.word(random_word(rng, SPACE, 6))
+        w = random_state(rng, SPACE, 6)
+        if max(map(len, u1.terms)) > 2 or max(map(len, u2.terms)) > 2:
+            continue  # keeps the unbanded oracle cheap
+        P = check_weak_associativity(SPACE, next(iter(u1.terms)), u2, w, box)["pole_order"]
+        pole_orders.append(P)
+        full = {}
+        for k1 in range(lo1 - P, hi1 + 1):
+            a = y_coeff(SPACE, u1, k1, u2)
+            for (k2,), vec in y_series(SPACE, a, w, lo2 - P, hi2).coeffs.items():
+                full[(k1, k2)] = vec
+        band = _iterate_band(SPACE, u1, u2, w, box, P)
+        for j1 in range(lo1, hi1 + 1):
+            for j2 in range(lo2, hi2 + 1):
+                for i in range(P + 1):
+                    cell = (j1 - P + i, j2 - i)
+                    assert band.get(cell, FockVector()) == full.get(cell, FockVector()), (P, cell)
+                    read_nonzero += cell in full
+    assert max(pole_orders) >= 7 and len(pole_orders) >= 10
+    assert read_nonzero
 
 
 def test_product_series_weight_bookkeeping():

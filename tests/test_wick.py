@@ -14,6 +14,7 @@ from fermifock.wick import (
     contraction_det,
     correlation,
     noexpr_apply,
+    noexpr_mul,
     vacuum_expectation,
     wick_fuse,
     wick_iterate,
@@ -183,13 +184,48 @@ def test_correlation_rejects_duplicate_variables():
         correlation(SPACE, [(((E1, -1),), "z"), (((F1, -1),), "z")])
 
 
-def test_correlation_fold_invariance():
-    rng = random.Random(43)
-    for _ in range(5):
-        ins = [(random_word(rng, SPACE, 3), f"z{i+1}") for i in range(3)]
-        left = correlation(SPACE, ins, fold="left")
-        right = correlation(SPACE, ins, fold="right")
-        assert left == right
+def _folded_correlation(space, insertions, right):
+    """Vacuum expectation of the left (or right) noexpr_mul fold."""
+    groups = [NOExpr([(RationalFunction.from_scalar(1), word_factors(w, v))]) for w, v in insertions]
+    if right:
+        expr = groups[-1]
+        for g in reversed(groups[:-1]):
+            expr = noexpr_mul(space, g, expr)
+    else:
+        expr = groups[0]
+        for g in groups[1:]:
+            expr = noexpr_mul(space, expr, g)
+    return vacuum_expectation(expr)
+
+
+FULL_GRAM_2 = [[1, 2, 1, 3], [2, 1, 1, 1], [1, 1, 2, 1], [3, 1, 1, 1]]  # no zero entry
+
+
+def test_correlation_pfaffian_matches_both_folds():
+    """The factor-level Pfaffian equals the left and the right fold of the
+    pairwise Wick expansion exactly, down to the rendered form."""
+    rng = random.Random(61)
+    spaces = [HSpace(1), HSpace(1, [[1, 1], [1, 2]]), HSpace(2), HSpace(2, FULL_GRAM_2)]
+    nonzero = 0
+    for trial in range(80):
+        space = spaces[trial % 4]
+        while True:
+            lengths = [rng.randint(0, 2) for _ in range(rng.randint(2, 5))]
+            # an odd factor count is 0 on both routes; the folds grow fast
+            # when every factor pair contracts
+            if sum(lengths) % 2 == 0 and (space.gram == HSpace(space.M).gram or sum(lengths) <= 6):
+                break
+        ins = [
+            (tuple((rng.randrange(space.dim), -rng.randint(1, 4)) for _ in range(k)), f"z{i + 1}")
+            for i, k in enumerate(lengths)
+        ]
+        got = correlation(space, ins)
+        for right in (False, True):
+            want = _folded_correlation(space, ins, right)
+            assert got == want, (ins, right)
+            assert got.render() == want.render(), (ins, right)
+        nonzero += not got.is_zero()
+    assert nonzero >= 30
 
 
 def test_correlation_antisymmetry_for_identical_odd_insertions():
