@@ -122,19 +122,6 @@ def parse_state(space: HSpace, text: str) -> FockVector:
     return out
 
 
-def render_state(space: HSpace, vec: FockVector) -> str:
-    if not vec.terms:
-        return "0"
-    parts = []
-    for w, c in vec.items():
-        body = word_str(space, w)
-        if c == 1:
-            parts.append(body)
-        else:
-            parts.append(f"{format_rational(c)} * {body}")
-    return " + ".join(parts)
-
-
 def parse_insertion(space: HSpace, text: str) -> Tuple[Word, Fraction, str]:
     """Parse 'STATE @ var' where STATE is a single scaled word."""
     if "@" not in text:
@@ -442,7 +429,7 @@ def cmd_expdelta(args) -> int:
                 iterative.pop(e, None)
     agree = closed == iterative
     for e in sorted(closed, reverse=True):
-        print(json.dumps({"exponent": e, "state": render_state(space, closed[e])}))
+        print(json.dumps({"exponent": e, "state": closed[e].render(space)}))
     print(json.dumps({"closed_matches_iterative": agree}))
     if not args.json:
         print(

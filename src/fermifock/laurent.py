@@ -76,18 +76,6 @@ class LaurentPoly:
                     table[tuple(cell)] = c
         self.coeffs = table
 
-    @classmethod
-    def constant(cls, variables, value) -> "LaurentPoly":
-        value = Fraction(value)
-        variables = tuple(variables)
-        if not value:
-            return cls(variables)
-        return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
-    def monomial(cls, variables, cell: Cell, value=1) -> "LaurentPoly":
-        return cls(variables, {tuple(cell): Fraction(value)})
-
     def __bool__(self):
         return bool(self.coeffs)
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import gt, le
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .fock import FockVector, HSpace, Mode, Word, d_op, grading_op, weight2
@@ -63,24 +65,33 @@ def normal_order_modes(modes: Sequence[Mode]) -> Tuple[int, Tuple[Mode, ...]]:
     return sign, neg + pos
 
 
+def integer_terms(vec: FockVector) -> Tuple[Dict[Word, int], int]:
+    """Clear denominators: vec = terms / D with integer terms and D >= 1."""
+    D = lcm(*(c.denominator for c in vec.terms.values()))
+    return {w: c.numerator * (D // c.denominator) for w, c in vec.terms.items()}, D
+
+
 def series_into(
     space: HSpace,
     factors: Sequence[Factor],
-    vec: FockVector,
+    terms: Dict[Word, int],
     intervals: Sequence[Tuple[int, int]],
-    table: Dict[Cell, Dict[Word, Fraction]],
-    scale=1,
+    table: Dict[Cell, Dict[Word, int]],
+    scale: int = 1,
 ) -> None:
-    """Accumulate a normal-ordered factor product applied to vec into table.
+    """Accumulate a normal-ordered factor product applied to a target into table.
 
     Factor (g, m, var) stands for h_g^(m)(z_var); cells (one exponent slot
-    per variable) are complete on the given closed intervals.  Path
-    coefficients stay integer until the final scale-in of each target
-    word's coefficient.
+    per variable) are complete on the given closed intervals.  The target
+    is an integer term map (see `integer_terms`) and `scale` an int.  Path
+    coefficients are products of binomials, signs and pairings, so the
+    table accumulates plain ints; a non-integral Gram matrix makes them
+    exact Fractions on the same path.  The caller divides its common
+    denominator out once per entry, in `wrap_table`.
 
     Termination: annihilation modes must contract against creation modes
-    already present in vec, which pins their levels; creation levels are
-    capped by the upper window edges since each contributes exponent
+    already present in the target, which pins their levels; creation levels
+    are capped by the upper window edges since each contributes exponent
     n - m >= 0 (the divided derivative kills n < m).
     """
     nv = len(intervals)
@@ -94,26 +105,34 @@ def series_into(
     )
     r = len(norm)
 
-    for word_v, cv in vec.terms.items():
+    # per creation mask: its shuffle sign, creation factors, and the
+    # annihilators in acting order (rightmost first), each with the slots
+    # no annihilator further left still charges (totals there only grow)
+    plans = []
+    for mask in range(1 << r):
+        cre = [norm[i] for i in range(r) if mask >> i & 1]
+        ann = [norm[i] for i in range(r) if not mask >> i & 1]
+        steps = []
+        for pos in range(len(ann) - 1, -1, -1):
+            gen, m, slots = ann[pos]
+            open_slots = set()
+            for f in ann[:pos]:
+                open_slots.update(f[2])
+            steps.append((gen, m, slots, [s for s in slots if s not in open_slots]))
+        plans.append((_shuffle_sign([i + 1 for i in range(r) if mask >> i & 1]), cre, steps))
+
+    for word_v, cv in terms.items():
         cv = cv * scale
         if not cv:
             continue
-        for mask in range(1 << r):
-            cre = [norm[i] for i in range(r) if mask >> i & 1]
-            ann = [norm[i] for i in range(r) if not mask >> i & 1]
-            sign = _shuffle_sign([i + 1 for i in range(r) if mask >> i & 1])
+        for sign, cre, steps in plans:
             ncre = len(cre)
-            # annihilation stage: rightmost factor acts first; a contraction
-            # at word position idx fixes the mode level and carries (-1)^idx.
-            # Totals above hi can only be pruned once no annihilator remains
-            # at that slot (annihilators push down, creations push up).
+            # annihilation stage: a contraction at word position idx fixes
+            # the mode level and carries (-1)^idx.  Totals above hi can only
+            # be pruned once no annihilator remains at that slot
+            # (annihilators push down, creations push up).
             states = [(word_v, sign, (0,) * nv)]
-            for pos in range(len(ann) - 1, -1, -1):
-                gen, m, slots = ann[pos]
-                open_slots = set()
-                for f in ann[:pos]:
-                    open_slots.update(f[2])
-                closed = [s for s in slots if s not in open_slots]
+            for gen, m, slots, closed in steps:
                 nxt = []
                 for w, c, exps in states:
                     psign = 1
@@ -149,16 +168,16 @@ def series_into(
                 continue
             # creation stage: levels n = e + m with e >= 0, coefficient C(n, m)
             for w, c, exps in states:
-                if any(exps[i] > his[i] for i in range(nv)):
+                if any(map(gt, exps, his)):
                     continue
-                stack = [(0, (), c, exps)]
+                stack = [(0, (), cv * c, exps)]
                 while stack:
                     t, prefix, cc, exps_t = stack.pop()
                     if t == ncre:
-                        if all(los[i] <= exps_t[i] for i in range(nv)):
+                        if all(map(le, los, exps_t)):
                             row = table.setdefault(exps_t, {})
                             word = prefix + w
-                            s = row.get(word, 0) + cv * cc
+                            s = row.get(word, 0) + cc
                             if s:
                                 row[word] = s
                             else:
@@ -181,12 +200,20 @@ def series_into(
                         )
 
 
-def wrap_table(table: Dict[Cell, Dict[Word, Fraction]]) -> Dict[Cell, FockVector]:
+def wrap_table(table: Dict[Cell, Dict[Word, int]], D: int) -> Dict[Cell, FockVector]:
+    """FockVectors of an accumulated table over the common denominator D."""
     out: Dict[Cell, FockVector] = {}
+    fracs: Dict[int, Fraction] = {}  # tables repeat few distinct values
     for cell, row in table.items():
         if row:
+            terms = {}
+            for w, c in row.items():
+                f = fracs.get(c)
+                if f is None:
+                    f = fracs[c] = Fraction(c, D)
+                terms[w] = f
             fv = FockVector.__new__(FockVector)
-            fv.terms = row
+            fv.terms = terms
             out[cell] = fv
     return out
 
@@ -198,9 +225,10 @@ def ordered_factor_series(
     intervals: Sequence[Tuple[int, int]],
 ) -> Dict[Cell, FockVector]:
     """Windowed grid of a normal-ordered factor product applied to vec."""
-    table: Dict[Cell, Dict[Word, Fraction]] = {}
-    series_into(space, factors, vec, intervals, table)
-    return wrap_table(table)
+    terms, D = integer_terms(vec)
+    table: Dict[Cell, Dict[Word, int]] = {}
+    series_into(space, factors, terms, intervals, table)
+    return wrap_table(table, D)
 
 
 class WindowedSeries:
@@ -256,12 +284,12 @@ def _as_vector(u) -> FockVector:
 
 def y_series(space: HSpace, u, v, lo: int, hi: int, var: str = "x") -> WindowedSeries:
     """Windowed coefficients of the vertex operator of u acting on v."""
-    u = _as_vector(u)
-    v = _as_vector(v)
-    table: Dict[Cell, Dict[Word, Fraction]] = {}
-    for word, c in u.terms.items():
-        series_into(space, _word_factors(word), v, ((lo, hi),), table, scale=c)
-    return WindowedSeries(Box((var,), ((lo, hi),)), wrap_table(table))
+    u_terms, Du = integer_terms(_as_vector(u))
+    v_terms, Dv = integer_terms(_as_vector(v))
+    table: Dict[Cell, Dict[Word, int]] = {}
+    for word, c in u_terms.items():
+        series_into(space, _word_factors(word), v_terms, ((lo, hi),), table, scale=c)
+    return WindowedSeries(Box((var,), ((lo, hi),)), wrap_table(table, Du * Dv))
 
 
 def y_coeff(space: HSpace, u, k: int, v) -> FockVector:

@@ -21,15 +21,15 @@ folding the products (`noexpr_mul`) is kept as the slow oracle.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .fock import FockVector, HSpace, Word
 from .pfaffian import pfaffian
 from .ratfun import RationalFunction, f_mn
 from .scalars import binom
-from .vertex import Cell, series_into, wrap_table
+from .vertex import Cell, integer_terms, series_into, wrap_table
 
 
 class Factor(NamedTuple):
@@ -250,8 +250,9 @@ def correlation(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> Ration
 # -- windowed evaluation of closed forms ------------------------------------
 
 
-def _slot_floor(derivs: Sequence[int], v: FockVector) -> int:
-    """Sharp floor for the exponent sum of a factor group against target v.
+def _slot_floor(derivs: Sequence[int], words) -> int:
+    """Sharp floor for the exponent sum of a factor group against a target
+    made of the given words.
 
     Annihilators contract distinct creation modes of one word; pairing the
     largest derivative orders with the deepest levels minimizes the sum of
@@ -261,7 +262,7 @@ def _slot_floor(derivs: Sequence[int], v: FockVector) -> int:
         return 0
     ms = sorted(derivs, reverse=True)
     best = 0
-    for w in v.terms:
+    for w in words:
         levels = sorted(level for _, level in w)
         run = 0
         cur = 0
@@ -272,12 +273,18 @@ def _slot_floor(derivs: Sequence[int], v: FockVector) -> int:
     return best
 
 
-def _grid_lower_bounds(factors, order_index, nvars, v: FockVector) -> List[int]:
-    """Per-variable floor of the factor-grid exponents against target v."""
+def _grid_lower_bounds(factors, order_index, nvars, words) -> List[int]:
+    """Per-variable floor of the factor-grid exponents against the target's words."""
     groups: Dict[int, List[int]] = {}
     for f in factors:
         groups.setdefault(order_index[f.var], []).append(f.deriv)
-    return [_slot_floor(groups.get(var, []), v) for var in range(nvars)]
+    return [_slot_floor(groups.get(var, []), words) for var in range(nvars)]
+
+
+def _int_summands(coeff_rf: RationalFunction, D: int):
+    """`monomial_summands` with each coefficient scaled by D to an int."""
+    for c, fixed, diffs in coeff_rf.monomial_summands():
+        yield c.numerator * (D // c.denominator), fixed, diffs
 
 
 def _table_add(table, cell, vec_terms, coeff):
@@ -303,32 +310,39 @@ def noexpr_apply(
     given (|order[0]| > ...); factors at a shifted variable "b+s" are
     re-centered on the grid by the binomial rule for (b+s)^c, expanded in
     nonnegative powers of s within the window budget.
+
+    Every coefficient of the expression and of v is brought over one common
+    denominator D, so the grid fold accumulates integers (exact Fractions
+    under a non-integral Gram matrix) and divides by D once per entry.
     """
     order = tuple(order)
     order_index = {name: i for i, name in enumerate(order)}
     los = [lo for lo, _ in intervals]
     his = [hi for _, hi in intervals]
-    acc: Dict[Cell, Dict[Word, Fraction]] = {}
+    v_terms, D = integer_terms(v)
+    Dc = lcm(*(c.denominator for rf, _ in expr.terms for c, _, _ in rf.monomial_summands()))
+    acc: Dict[Cell, Dict[Word, int]] = {}
 
     for coeff_rf, factors in expr.terms:
         shifted = [f for f in factors if "+" in f.var]
         if shifted and coeff_rf.den_diff:
             raise NotImplementedError("shifted factors with difference kernels")
+        summands = _int_summands(coeff_rf, Dc)
         if shifted:
-            _apply_shifted_term(space, coeff_rf, factors, v, order_index, los, his, acc)
+            _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his, acc)
         else:
-            _apply_plain_term(space, coeff_rf, factors, v, order_index, los, his, acc)
-    return wrap_table(acc)
+            _apply_plain_term(space, summands, factors, v_terms, order_index, los, his, acc)
+    return wrap_table(acc, D * Dc)
 
 
-def _apply_plain_term(space, coeff_rf, factors, v, order_index, los, his, acc):
+def _apply_plain_term(space, summands, factors, v_terms, order_index, los, his, acc):
     nv = len(los)
     engine_factors = tuple((f.gen, f.deriv, order_index[f.var]) for f in factors)
-    lows = _grid_lower_bounds(factors, order_index, nv, v)
+    lows = _grid_lower_bounds(factors, order_index, nv, v_terms)
     # enumerate the Laurent cells of the coefficient that can reach the window
-    rf_cells: Dict[Cell, Fraction] = {}
+    rf_cells: Dict[Cell, int] = {}
     cell_his = [hi - lw for hi, lw in zip(his, lows)]
-    for c, fixed, diffs in coeff_rf.monomial_summands():
+    for c, fixed, diffs in summands:
         _region_cells(order_index, cell_his, c, fixed, diffs, rf_cells)
     if not rf_cells:
         return
@@ -340,8 +354,8 @@ def _apply_plain_term(space, coeff_rf, factors, v, order_index, los, his, acc):
         if lo > hi:
             return
         box.append((lo, hi))
-    table: Dict[Cell, Dict[Word, Fraction]] = {}
-    series_into(space, engine_factors, v, tuple(box), table)
+    table: Dict[Cell, Dict[Word, int]] = {}
+    series_into(space, engine_factors, v_terms, tuple(box), table)
     for ecell, c in rf_cells.items():
         for tcell, row in table.items():
             out = tuple(a + b for a, b in zip(ecell, tcell))
@@ -349,7 +363,7 @@ def _apply_plain_term(space, coeff_rf, factors, v, order_index, los, his, acc):
                 _table_add(acc, out, row, c)
 
 
-def _region_cells(order_index, cell_his, coeff, fixed, diffs, out: Dict[Cell, Fraction]):
+def _region_cells(order_index, cell_his, coeff, fixed, diffs, out: Dict[Cell, int]):
     """Collect Laurent cells of coeff * prod z^fixed / prod (x-y)^b whose
     exponents stay below the per-variable caps."""
     nv = len(cell_his)
@@ -371,7 +385,7 @@ def _region_cells(order_index, cell_his, coeff, fixed, diffs, out: Dict[Cell, Fr
     def descend(pos):
         if pos < 0:
             cell = list(fixed_vec)
-            value = Fraction(coeff)
+            value = coeff
             for (outer, inner, b, sign), k in zip(factors, ks):
                 cell[inner] += k
                 cell[outer] -= b + k
@@ -407,7 +421,7 @@ def _region_cells(order_index, cell_his, coeff, fixed, diffs, out: Dict[Cell, Fr
     descend(nv - 1)
 
 
-def _apply_shifted_term(space, coeff_rf, factors, v, order_index, los, his, acc):
+def _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his, acc):
     """Evaluate a term whose re-centered factors sit at one base+shift pair.
 
     The factors at "b+s" go to an auxiliary grid slot w, and the grid is
@@ -443,11 +457,11 @@ def _apply_shifted_term(space, coeff_rf, factors, v, order_index, los, his, acc)
             elif idx == sidx:
                 shift_ms.append(f.deriv)
 
-    lw = _slot_floor(shifted_ms, v)
-    lb = _slot_floor(base_ms, v)
-    ls = _slot_floor(shift_ms, v)
+    lw = _slot_floor(shifted_ms, v_terms)
+    lb = _slot_floor(base_ms, v_terms)
+    ls = _slot_floor(shift_ms, v_terms)
 
-    for c, fixed, _ in coeff_rf.monomial_summands():
+    for c, fixed, _ in summands:
         fixed_vec = [0] * nv
         for var, e in fixed.items():
             fixed_vec[order_index[var]] = e
@@ -475,8 +489,8 @@ def _apply_shifted_term(space, coeff_rf, factors, v, order_index, los, his, acc)
         box.append((lw, cmax))  # w slot
         # joint slot: d_b + c, pinned by the base-variable output window
         box.append((los[bidx] - fixed_vec[bidx], his[bidx] - fixed_vec[bidx] + imax))
-        table: Dict[Cell, Dict[Word, Fraction]] = {}
-        series_into(space, tuple(engine_factors), v, tuple(box), table)
+        table: Dict[Cell, Dict[Word, int]] = {}
+        series_into(space, tuple(engine_factors), v_terms, tuple(box), table)
         for cell, row in table.items():
             cw = cell[wslot]
             joint = cell[vslot]

@@ -278,14 +278,16 @@ def test_criterion_6_delta_machinery():
         assert closed == want, word
 
     # commutator with the regular one-sided series on window [-4, 4]^2;
-    # the fixed two-mode state guarantees a nonvacuous check
+    # the fixed two-mode state guarantees a nonvacuous check for m <= 1.
+    # C01 lives on levels 0 and 1, where C(alpha, 2) = 0, so at m = 2 both
+    # sides vanish on every cell and the check compares nothing.
     space = HSpace(2)
     samples = [FockVector.word(((2, -1), (2, -2)))] + [
         random_state(rng, space, 4) for _ in range(4)
     ]
-    for m in (0, 1, 2):
+    for m, want in ((0, "pass"), (1, "pass"), (2, "inconclusive")):
         report = check_exp_delta_neg_comm(space, C01, 0, m, samples, ((-4, 4), (-4, 4)))
-        assert report["status"] == "pass", report
+        assert report["status"] == want, report
     for _ in range(4):
         C = _random_coeffs(rng)
         space2 = _random_gram_space(rng)

@@ -1,20 +1,29 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from fermifock.cli import main, parse_state, render_state
+import fermifock
+from fermifock.cli import main, parse_state
 from fermifock.fock import FockVector, HSpace
 
 SPACE = HSpace(2)
+# the subprocess imports the same source tree as the tests, with or without
+# PYTHONPATH set by the caller
+SRC = str(Path(fermifock.__file__).resolve().parents[1])
 
 
 def run_cli(args, tmp_path=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fermifock.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc
 
@@ -43,9 +52,9 @@ def test_render_parse_round_trip_is_idempotent():
     ]
     for text in texts:
         v = parse_state(SPACE, text)
-        rendered = render_state(SPACE, v)
+        rendered = v.render(SPACE)
         assert parse_state(SPACE, rendered) == v
-        assert render_state(SPACE, parse_state(SPACE, rendered)) == rendered
+        assert parse_state(SPACE, rendered).render(SPACE) == rendered
 
 
 def test_cli_correlate_pair():
@@ -189,6 +198,13 @@ def test_cli_check_reports_inconclusive(capsys):
     values = list(statuses.values())
     passed, inconclusive = values.count("pass"), values.count("inconclusive")
     assert f"{passed} identities passed, {inconclusive} inconclusive, 0 failed" in capsys.readouterr().err
+
+
+def test_cli_check_delta_reports_zero_window_inconclusive(capsys):
+    argv = ["--json", "check", "--suite", "delta", "--seed", "0", "--window=40,41"]
+    assert main(argv) == 0
+    statuses = {r["identity"]: r["status"] for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert statuses["exp_negative_commutator"] == "inconclusive"
 
 
 @pytest.mark.parametrize("flag", ["--r", "--s", "--max-weight"])

@@ -287,7 +287,7 @@ def test_exp_delta_negative_commutator_check():
     rng = random.Random(97)
     samples = [random_state(rng, SPACE, 4) for _ in range(4)]
     report = check_exp_delta_neg_comm(SPACE, DeltaCoeffs(), E1, 0, samples, ((-4, 4), (-4, 4)))
-    assert report["status"] == "pass"
+    assert report["status"] == "inconclusive" and report["nonzero_cells"] == 0
     for m in (0, 1):
         report = check_exp_delta_neg_comm(SPACE, C01, E1, m, samples, ((-4, 4), (-4, 4)))
         assert report["status"] == "pass", report
@@ -298,4 +298,5 @@ def test_exp_delta_negative_commutator_check():
         report = check_exp_delta_neg_comm(
             space, C, rng.randrange(space.dim), rng.randint(0, 2), samples, ((-4, 4), (-4, 4))
         )
-        assert report["status"] == "pass", report
+        # an empty coefficient table makes both sides vanish on every cell
+        assert report["status"] == ("pass" if C.entries else "inconclusive"), report

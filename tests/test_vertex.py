@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from fermifock.fock import (
@@ -7,6 +8,7 @@ from fermifock.fock import (
     FockVector,
     HSpace,
     apply_mode,
+    apply_modes,
     d_op,
     grading_op,
     random_state,
@@ -31,6 +33,14 @@ from fermifock.vertex import (
 
 SPACE = HSpace(2)
 E1, E2, F1, F2 = 0, 1, 2, 3
+# a pairing with non-integral entries: path coefficients become Fractions
+RATIONAL_GRAM = [
+    [0, Fraction(-5, 7), Fraction(1, 2), 0],
+    [Fraction(-5, 7), 0, 0, Fraction(2, 3)],
+    [Fraction(1, 2), 0, 0, Fraction(1, 3)],
+    [0, Fraction(2, 3), Fraction(1, 3), 0],
+]
+MIXED_DENOMINATORS = (Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), Fraction(3))
 
 
 def test_enumerate_shuffles_counts_and_signs():
@@ -307,3 +317,82 @@ def test_product_series_weight_bookkeeping():
         base = Fraction(weight2(uw1) + weight2(uw2) + weight2(vw), 2)
         for (k1, k2), vec in grid.coeffs.items():
             assert grading_op(vec) == vec.scale(base + k1 + k2)
+
+
+def _mixed_state(rng, max_weight2, nterms):
+    """Seeded words with coefficients of mixed denominators."""
+    terms = {}
+    while len(terms) < nterms:
+        terms[random_word(rng, SPACE, max_weight2)] = rng.choice(MIXED_DENOMINATORS)
+    return FockVector(terms)
+
+
+def _mode_oracle(space, factors, vec, intervals):
+    """Normal-ordered factor grid, one mode per factor: factor (g, m, var)
+    is sum_L C(-L-1, m) h_g(L + 1/2) z_var^(-L-1-m) over all levels L;
+    each level tuple is normal-ordered by `normal_order_modes` and applied
+    by `apply_modes`.  Annihilation levels are capped by the deepest mode
+    of vec, creation levels by the window plus what annihilators take off."""
+    depth = vec.max_level()
+    top = max(hi for _, hi in intervals) + sum(depth + 2 + m for _, m, _ in factors)
+    out = {}
+    for levels in product(range(-top - 1, depth + 1), repeat=len(factors)):
+        cell = [0] * len(intervals)
+        coeff = 1
+        for (_, m, var), level in zip(factors, levels):
+            coeff *= binom(-level - 1, m)
+            cell[var] += -level - 1 - m
+        cell = tuple(cell)
+        if not coeff or not all(lo <= e <= hi for e, (lo, hi) in zip(cell, intervals)):
+            continue
+        sign, modes = normal_order_modes([(g, level) for (g, _, _), level in zip(factors, levels)])
+        hit = apply_modes(space, modes, vec).scale(sign * coeff)
+        s = out.get(cell, FockVector()) + hit
+        if s:
+            out[cell] = s
+        else:
+            out.pop(cell, None)
+    return out
+
+
+def _assert_fraction_coefficients(grid):
+    for vec in grid.values():
+        assert vec and all(type(c) is Fraction for c in vec.terms.values())
+
+
+def test_series_engine_matches_mode_oracle_with_mixed_denominators():
+    """y_series and ordered_factor_series clear denominators and accumulate
+    integers (Fractions under a non-integral pairing); the mode-by-mode
+    oracle never does.  Both must agree exactly, and every returned
+    coefficient must be a Fraction."""
+    rng = random.Random(4242)
+    spaces = (SPACE, HSpace(2, RATIONAL_GRAM))
+    nonzero = 0
+    for space in spaces:
+        for _ in range(5):
+            u = _mixed_state(rng, 4, 2)
+            v = _mixed_state(rng, 4, 3)
+            series = y_series(space, u, v, -4, 3)
+            want = {}
+            for word, c in u.terms.items():
+                for cell, vec in _mode_oracle(
+                    space, tuple((g, -level - 1, 0) for g, level in word), v, ((-4, 3),)
+                ).items():
+                    s = want.get(cell, FockVector()) + vec.scale(c)
+                    if s:
+                        want[cell] = s
+                    else:
+                        want.pop(cell, None)
+            assert series.coeffs == want
+            _assert_fraction_coefficients(series.coeffs)
+            nonzero += len(want)
+        for _ in range(4):
+            r = rng.randint(1, 3)
+            factors = tuple((rng.randrange(space.dim), rng.randint(0, 1), rng.randrange(2)) for _ in range(r))
+            v = _mixed_state(rng, 4, 3)
+            intervals = ((-3, 2), (-2, 2))
+            grid = ordered_factor_series(space, factors, v, intervals)
+            assert grid == _mode_oracle(space, factors, v, intervals), factors
+            _assert_fraction_coefficients(grid)
+            nonzero += len(grid)
+    assert nonzero

@@ -140,6 +140,47 @@ def test_wick_product_matches_product_series():
             assert series.coefficient(cell) == closed.get(cell, FockVector()), (u1, u2, cell)
 
 
+def test_closed_forms_match_series_under_rational_gram():
+    """The closed-form grid fold clears one common denominator over the
+    expression and the target; under a pairing with non-integral entries
+    and targets with mixed denominators it must still match both series
+    engines exactly and return Fraction coefficients only."""
+    gram = [
+        [0, Fraction(-5, 7), Fraction(1, 2), 0],
+        [Fraction(-5, 7), 0, 0, Fraction(2, 3)],
+        [Fraction(1, 2), 0, 0, Fraction(1, 3)],
+        [0, Fraction(2, 3), Fraction(1, 3), 0],
+    ]
+    space = HSpace(2, gram)
+    rng = random.Random(43)
+    box = Box(("x", "y"), ((-4, 3), (-4, 3)))
+    cases = [
+        (product_series, wick_product),
+        (iterate_series, wick_iterate),
+    ]
+
+    def word(length):
+        return tuple((rng.randrange(space.dim), -rng.randint(1, 2)) for _ in range(length))
+
+    nonzero = 0
+    rational_kernels = 0
+    for _ in range(4):
+        u1, u2 = word(rng.randint(1, 2)), word(rng.randint(1, 2))
+        v = FockVector({word(i): c for i, c in enumerate((Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7)))})
+        for series_of, closed_of in cases:
+            expr = closed_of(space, u1, u2)
+            rational_kernels += any(
+                c.denominator > 1 for rf, _ in expr.terms for c, _, _ in rf.monomial_summands()
+            )
+            series = series_of(space, FockVector.word(u1), FockVector.word(u2), v, box)
+            closed = noexpr_apply(space, expr, v, ("x", "y"), box.intervals)
+            assert series.coeffs == closed, (series_of.__name__, u1, u2)
+            for vec in closed.values():
+                assert all(type(c) is Fraction for c in vec.terms.values())
+            nonzero += len(closed)
+    assert nonzero and rational_kernels
+
+
 def test_wick_iterate_identity_and_kernel():
     expr = wick_iterate(SPACE, (), ((F1, -1),))
     assert len(expr) == 1 and expr.terms[0][1] == (Factor(F1, 0, "y"),)
