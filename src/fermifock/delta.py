@@ -6,12 +6,15 @@ over the polarized basis; antisymmetry C_mn = -C_nm makes it basis
 independent.  Acting on a word it deletes one pair of modes per step, so
 its exponential is a finite sum whose coefficients are the signed
 perfect-matching sums: Pfaffians of the bracket matrix, with two slower
-independent routes kept as oracles.
+independent routes kept as oracles.  The bracket matrix is cleared to
+integers over one common denominator D, so the Pfaffian memo holds ints
+and a minor on 2t slots is divided by D^t once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .fock import FockVector, HSpace, apply_mode
@@ -116,14 +119,20 @@ def _check_indices(indices: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _bracket_kernel(space: HSpace, C: DeltaCoeffs, slots: Sequence[Tuple[int, int]]):
-    """Nonzero brackets of (gen, level) slots p < q, as a Pfaffian kernel."""
-    kernel: Dict[int, Dict[int, Fraction]] = {}
+    """Nonzero brackets of (gen, level) slots p < q as an integer Pfaffian
+    kernel: (kernel, D) with kernel[p][q] = D * bracket and D the least
+    common denominator.  A minor on 2t slots is then D^t times its value."""
+    brackets: Dict[Tuple[int, int], Fraction] = {}
     for p, (g1, m1) in enumerate(slots):
         for q in range(p + 1, len(slots)):
             b = bracket(space, C, g1, m1, *slots[q])
             if b:
-                kernel.setdefault(p, {})[q] = b
-    return kernel
+                brackets[(p, q)] = b
+    D = lcm(*(b.denominator for b in brackets.values()))
+    kernel: Dict[int, Dict[int, int]] = {}
+    for (p, q), b in brackets.items():
+        kernel.setdefault(p, {})[q] = b.numerator * (D // b.denominator)
+    return kernel, D
 
 
 def t_number(
@@ -135,9 +144,9 @@ def t_number(
 ) -> Fraction:
     """Total contraction number: the Pfaffian of the bracket matrix on `indices`."""
     idx = _check_indices(indices)
-    kernel = _bracket_kernel(space, C, [(gens[i], levels[i]) for i in idx])
+    kernel, D = _bracket_kernel(space, C, [(gens[i], levels[i]) for i in idx])
     full = (1 << len(idx)) - 1
-    return pfaffian(kernel, [full], Fraction(1))[full]
+    return Fraction(pfaffian(kernel, [full], 1)[full], D ** (len(idx) // 2))
 
 
 def t_number_alt(
@@ -234,12 +243,12 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
             for t in range(1, r // 2 + 1)
             for idx in combinations(range(r), 2 * t)
         ]
-        kernel = _bracket_kernel(space, C, [(g, m) for (g, _), m in zip(word, levels)])
-        minors = pfaffian(kernel, [mask for _, mask in deleted], Fraction(1))
+        kernel, D = _bracket_kernel(space, C, [(g, m) for (g, _), m in zip(word, levels)])
+        minors = pfaffian(kernel, [mask for _, mask in deleted], 1)
         for idx, mask in deleted:
-            tval = minors[mask]
-            if not tval:
+            if not minors[mask]:
                 continue
+            tval = Fraction(minors[mask], D ** (len(idx) // 2))
             sign = -1 if (sum(idx) + len(idx)) & 1 else 1  # 1-based position sum
             exp = -sum(levels[i] for i in idx) - len(idx) // 2
             keep = tuple(word[i] for i in range(r) if i not in idx)

@@ -10,7 +10,8 @@ Expanding along the lowest item p of a set S,
 
 and memoising Pf on the bitmask of S makes every visited minor cost one
 term per nonzero entry of its first row.  Entries are exact ring
-elements (`Fraction` or `RationalFunction`); absent entries are zero.
+elements (`int`, `Fraction` or `RationalFunction`); absent entries are
+zero.
 """
 from __future__ import annotations
 

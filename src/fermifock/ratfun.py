@@ -2,10 +2,20 @@
 
 Denominators are products of variable powers z_i^a and difference powers
 (z_i - z_j)^b; this is the only pole structure correlation functions can
-produce here.  Numerators are ordinary polynomials.  Fractions are kept
-normalized: no z_i or (z_i - z_j) divides both numerator and denominator,
-and difference factors are stored with the canonically earlier variable
-first (sign absorbed into the numerator).
+produce here.  Numerators are polynomials with rational coefficients,
+stored as integers over one positive common denominator: `int_num` maps
+exponent cells to ints, `int_den` shares no factor with all of them, and
+`num` is the public view, cell -> exact `Fraction`.  Denominators are
+cleared once, in the constructor, so arithmetic adds and multiplies ints.
+
+Fractions are kept normalized: no z_i or (z_i - z_j) divides both
+numerator and denominator, and difference factors are stored with the
+canonically earlier variable first (sign absorbed into the numerator).
+A factor z_i - z_j is divided out by exact long division, attempted only
+when it can succeed: the numerator is first evaluated modulo the prime
+2^61 - 1 at a fixed integer point with z_i = z_j, and a nonzero residue
+proves that z_i - z_j does not divide it.  A zero residue falls through
+to the division, so no step rests on chance.
 
 Regional expansion (`expand_region`) turns a rational function into the
 exact Laurent table of its iterated-series expansion in a declared region
@@ -14,13 +24,17 @@ exact Laurent table of its iterated-series expansion in a declared region
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from math import gcd, lcm, prod
+from operator import add
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .laurent import Box, LaurentPoly
 from .scalars import binom, format_rational
 
 Cell = Tuple[int, ...]
-Poly = Dict[Cell, Fraction]
+Poly = Dict[Cell, int]  # integer coefficients, zeros absent
+
+_PRIME = (1 << 61) - 1
 
 
 def _var_key(name: str):
@@ -40,21 +54,12 @@ def _poly_add(a: Poly, b: Poly) -> Poly:
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
+    get = out.get
     for c1, v1 in a.items():
         for c2, v2 in b.items():
-            cell = tuple(x + y for x, y in zip(c1, c2))
-            s = out.get(cell, 0) + v1 * v2
-            if s:
-                out[cell] = s
-            else:
-                out.pop(cell, None)
-    return out
-
-
-def _poly_scale(a: Poly, value: Fraction) -> Poly:
-    if not value:
-        return {}
-    return {cell: c * value for cell, c in a.items()}
+            cell = tuple(map(add, c1, c2))
+            out[cell] = get(cell, 0) + v1 * v2
+    return {cell: c for cell, c in out.items() if c}
 
 
 def _poly_shift(a: Poly, idx: int, amount: int) -> Poly:
@@ -66,31 +71,70 @@ def _poly_shift(a: Poly, idx: int, amount: int) -> Poly:
     return out
 
 
+def _reduced(num: Poly, den: int) -> Tuple[Poly, int]:
+    """Cancel the common factor of the coefficients and their denominator."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            return {cell: c // g for cell, c in num.items()}, den // g
+    return num, den
+
+
 def _diff_poly(nvars: int, i: int, j: int, power: int) -> Poly:
-    """(z_i - z_j)^power as a polynomial, power >= 0."""
-    base: Poly = {}
-    ei = [0] * nvars
-    ei[i] = 1
-    base[tuple(ei)] = Fraction(1)
-    ej = [0] * nvars
-    ej[j] = 1
-    base[tuple(ej)] = Fraction(-1)
-    out: Poly = {(0,) * nvars: Fraction(1)}
-    for _ in range(power):
-        out = _poly_mul(out, base)
+    """(z_i - z_j)^power by the binomial theorem, power >= 0."""
+    out: Poly = {}
+    for t in range(power + 1):
+        cell = [0] * nvars
+        cell[i] = power - t
+        cell[j] = t
+        out[tuple(cell)] = -binom(power, t) if t & 1 else binom(power, t)
     return out
 
 
-def _divide_by_var(a: Poly, idx: int) -> Poly | None:
-    if not a:
-        return None
-    if any(cell[idx] == 0 for cell in a):
-        return None
-    return _poly_shift(a, idx, -1)
+def _proof_value(idx: int) -> int:
+    """Coordinate `idx` of the fixed point where divisibility is tested."""
+    return (idx + 1) * 0x9E3779B97F4A7C15 % _PRIME
+
+
+def _residues(a: Poly, pairs: Sequence[Tuple[int, int]]) -> List[int]:
+    """For each pair (i, j), a mod 2^61 - 1 at the fixed point with z_j
+    set to the value of z_i.
+
+    If z_i - z_j divides a, a vanishes wherever z_i = z_j, so a nonzero
+    residue proves that it does not.  Every pair shares one pass over a:
+    moving z_j from its own value r_j to r_i multiplies a term by
+    (r_i / r_j)^(e_j), so the terms are summed by their z_j exponent.
+    """
+    values = [_proof_value(k) for k in range(len(next(iter(a))))]
+    tops = list(map(max, zip(*a)))
+    powers = []
+    for v, top in zip(values, tops):
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * v % _PRIME)
+        powers.append(row)
+    by_exp = {j: [0] * (tops[j] + 1) for _, j in pairs}
+    rows = list(by_exp.items())
+    for cell, c in a.items():
+        term = c * prod(map(list.__getitem__, powers, cell))
+        for j, sums in rows:
+            sums[cell[j]] += term
+    out = []
+    for i, j in pairs:
+        ratio = values[i] * pow(values[j], -1, _PRIME) % _PRIME
+        r = 0
+        for s in reversed(by_exp[j]):
+            r = (r * ratio + s) % _PRIME
+        out.append(r)
+    return out
 
 
 def _divide_by_diff(a: Poly, i: int, j: int) -> Poly | None:
-    """Exact quotient a / (z_i - z_j), or None when not divisible."""
+    """Exact quotient a / (z_i - z_j), or None when not divisible.
+
+    z_i - z_j is monic in z_i, so the quotient of an integer polynomial
+    has integer coefficients.
+    """
     if not a:
         return None
     # Long division in z_i: with a = sum_k f_k z_i^k, the quotient q
@@ -124,30 +168,61 @@ def _bump(cell: Cell, idx: int) -> Cell:
 
 
 class RationalFunction:
-    """num / (prod z_i^a_i * prod (z_i - z_j)^b_ij), exact and normalized."""
+    """num / (prod z_i^a_i * prod (z_i - z_j)^b_ij), exact and normalized.
 
-    __slots__ = ("vars", "num", "den_pow", "den_diff")
+    The numerator is held as `int_num / int_den`; `num` is its `Fraction`
+    view.
+    """
 
-    def __init__(self, variables: Iterable[str], num: Poly, den_pow=None, den_diff=None):
+    __slots__ = ("vars", "int_num", "int_den", "den_pow", "den_diff")
+
+    def __init__(self, variables: Iterable[str], num: Mapping, den_pow=None, den_diff=None):
+        coeffs = {tuple(c): Fraction(v) for c, v in num.items() if v}
+        den = lcm(*(v.denominator for v in coeffs.values()))
         self.vars = tuple(variables)
-        self.num: Poly = {tuple(c): Fraction(v) for c, v in num.items() if v}
+        self.int_num: Poly = {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()}
+        self.int_den = den
         self.den_pow: Dict[str, int] = dict(den_pow or {})
         self.den_diff: Dict[Tuple[str, str], int] = dict(den_diff or {})
         self._normalize()
 
+    @property
+    def num(self) -> Dict[Cell, Fraction]:
+        """Numerator coefficients as exact Fractions (a fresh dict)."""
+        den = self.int_den
+        return {cell: Fraction(c, den) for cell, c in self.int_num.items()}
+
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _raw(cls, variables, int_num: Poly, int_den: int, den_pow, den_diff) -> "RationalFunction":
+        """Wrap integer data that is already in normal form."""
+        rf = object.__new__(cls)
+        rf.vars = variables
+        rf.int_num = int_num
+        rf.int_den = int_den
+        rf.den_pow = den_pow
+        rf.den_diff = den_diff
+        return rf
+
+    @classmethod
+    def _from_ints(cls, variables, int_num: Poly, int_den: int, den_pow, den_diff) -> "RationalFunction":
+        rf = cls._raw(variables, int_num, int_den, den_pow, den_diff)
+        rf._normalize()
+        return rf
 
     @classmethod
     def from_scalar(cls, value, variables=()) -> "RationalFunction":
         variables = tuple(sorted(variables, key=_var_key))
         value = Fraction(value)
-        num = {(0,) * len(variables): value} if value else {}
-        return cls(variables, num)
+        num = {(0,) * len(variables): value.numerator} if value else {}
+        return cls._raw(variables, num, value.denominator, {}, {})
 
     @classmethod
     def monomial(cls, variables, exps: Dict[str, int], value=1) -> "RationalFunction":
         """value * prod z^e with e of either sign (negative goes downstairs)."""
         variables = tuple(sorted(variables, key=_var_key))
+        value = Fraction(value)
         cell = [0] * len(variables)
         den_pow = {}
         for v, e in exps.items():
@@ -156,7 +231,7 @@ class RationalFunction:
                 cell[i] = e
             else:
                 den_pow[v] = -e
-        return cls(variables, {tuple(cell): Fraction(value)}, den_pow, {})
+        return cls._from_ints(variables, {tuple(cell): value.numerator}, value.denominator, den_pow, {})
 
     @classmethod
     def diff_inverse(cls, x: str, y: str, power: int, value=1) -> "RationalFunction":
@@ -169,59 +244,87 @@ class RationalFunction:
         variables = tuple(sorted((x, y), key=_var_key))
         if (x, y) != variables:
             value *= (-1) ** power
-        num = {(0, 0): value} if value else {}
+        num = {(0, 0): value.numerator} if value else {}
         den_diff = {variables: power} if power else {}
-        return cls(variables, num, {}, den_diff)
+        return cls._from_ints(variables, num, value.denominator, {}, den_diff)
 
     # -- normalization --------------------------------------------------
 
     def _normalize(self):
-        for pair in list(self.den_diff):
-            if self.den_diff[pair] == 0:
-                del self.den_diff[pair]
-        for v in list(self.den_pow):
-            if self.den_pow[v] == 0:
-                del self.den_pow[v]
-        if not self.num:
+        num = self.int_num
+        if not num:
+            self.int_den = 1
             self.den_pow = {}
             self.den_diff = {}
             return
-        for v in list(self.den_pow):
-            idx = self.vars.index(v)
-            while self.den_pow.get(v, 0) > 0:
-                q = _divide_by_var(self.num, idx)
+        num, self.int_den = _reduced(num, self.int_den)
+        den_pow = {}
+        for v, a in self.den_pow.items():
+            if a > 0:
+                idx = self.vars.index(v)
+                k = min(a, min(cell[idx] for cell in num))
+                if k:
+                    num = _poly_shift(num, idx, -k)
+                    a -= k
+            if a:
+                den_pow[v] = a
+        pairs = [(x, y, b) for (x, y), b in self.den_diff.items() if b > 0]
+        slots = [(self.vars.index(x), self.vars.index(y)) for x, y, _ in pairs]
+        den_diff = {}
+        for (x, y, b), (i, j), r in zip(pairs, slots, _residues(num, slots) if slots else ()):
+            # A nonzero residue proves z_i - z_j does not divide the
+            # numerator, nor any quotient of it; only a zero residue
+            # leads to a long division.
+            while not r:
+                q = _divide_by_diff(num, i, j)
                 if q is None:
                     break
-                self.num = q
-                self.den_pow[v] -= 1
-            if self.den_pow.get(v) == 0:
-                del self.den_pow[v]
-        for (x, y) in list(self.den_diff):
-            i, j = self.vars.index(x), self.vars.index(y)
-            while self.den_diff.get((x, y), 0) > 0:
-                q = _divide_by_diff(self.num, i, j)
-                if q is None:
+                num = q
+                b -= 1
+                if not b:
                     break
-                self.num = q
-                self.den_diff[(x, y)] -= 1
-            if self.den_diff.get((x, y)) == 0:
-                del self.den_diff[(x, y)]
+                r = _residues(num, [(i, j)])[0]
+            if b:
+                den_diff[(x, y)] = b
+        self.int_num = num
+        self.den_pow = den_pow
+        self.den_diff = den_diff
 
     # -- variable plumbing ----------------------------------------------
 
-    def _embedded(self, variables: Tuple[str, ...]) -> Tuple[Poly, Dict, Dict]:
-        """Re-key numerator and denominators over a superset variable tuple."""
+    def _embedded(self, variables: Tuple[str, ...]) -> Poly:
+        """The integer numerator re-keyed over a superset variable tuple."""
+        if variables == self.vars:
+            return self.int_num
         pos = [variables.index(v) for v in self.vars]
         num: Poly = {}
-        for cell, c in self.num.items():
+        for cell, c in self.int_num.items():
             big = [0] * len(variables)
             for p, e in zip(pos, cell):
                 big[p] = e
             num[tuple(big)] = c
-        return num, dict(self.den_pow), dict(self.den_diff)
+        return num
+
+    def _lifted(self, variables, den: int, den_pow, den_diff) -> Poly:
+        """The integer numerator over a common denominator that this one divides."""
+        nv = len(variables)
+        cell = [0] * nv
+        for v, a in den_pow.items():
+            cell[variables.index(v)] = a - self.den_pow.get(v, 0)
+        factor = {tuple(cell): den // self.int_den}
+        for (x, y), b in den_diff.items():
+            extra = b - self.den_diff.get((x, y), 0)
+            if extra:
+                factor = _poly_mul(factor, _diff_poly(nv, variables.index(x), variables.index(y), extra))
+        num = self._embedded(variables)
+        if factor == {(0,) * nv: 1}:
+            return num
+        return _poly_mul(num, factor)
 
     @staticmethod
     def _merge_vars(a: "RationalFunction", b: "RationalFunction") -> Tuple[str, ...]:
+        if a.vars == b.vars:
+            return a.vars
         return tuple(sorted(set(a.vars) | set(b.vars), key=_var_key))
 
     # -- arithmetic ------------------------------------------------------
@@ -230,29 +333,22 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             other = RationalFunction.from_scalar(other)
         variables = self._merge_vars(self, other)
-        n1, p1, d1 = self._embedded(variables)
-        n2, p2, d2 = other._embedded(variables)
+        p1, p2, d1, d2 = self.den_pow, other.den_pow, self.den_diff, other.den_diff
         den_pow = {v: max(p1.get(v, 0), p2.get(v, 0)) for v in set(p1) | set(p2)}
         den_diff = {k: max(d1.get(k, 0), d2.get(k, 0)) for k in set(d1) | set(d2)}
-        for v, a in den_pow.items():
-            idx = variables.index(v)
-            if a - p1.get(v, 0):
-                n1 = _poly_shift(n1, idx, a - p1.get(v, 0))
-            if a - p2.get(v, 0):
-                n2 = _poly_shift(n2, idx, a - p2.get(v, 0))
-        for (x, y), b in den_diff.items():
-            i, j = variables.index(x), variables.index(y)
-            if b - d1.get((x, y), 0):
-                n1 = _poly_mul(n1, _diff_poly(len(variables), i, j, b - d1.get((x, y), 0)))
-            if b - d2.get((x, y), 0):
-                n2 = _poly_mul(n2, _diff_poly(len(variables), i, j, b - d2.get((x, y), 0)))
-        return RationalFunction(variables, _poly_add(n1, n2), den_pow, den_diff)
+        den = lcm(self.int_den, other.int_den)
+        num = _poly_add(
+            self._lifted(variables, den, den_pow, den_diff),
+            other._lifted(variables, den, den_pow, den_diff),
+        )
+        return RationalFunction._from_ints(variables, num, den, den_pow, den_diff)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return RationalFunction(self.vars, _poly_scale(self.num, Fraction(-1)), self.den_pow, self.den_diff)
+        num = {cell: -c for cell, c in self.int_num.items()}
+        return RationalFunction._raw(self.vars, num, self.int_den, dict(self.den_pow), dict(self.den_diff))
 
     def __sub__(self, other):
         if not isinstance(other, RationalFunction):
@@ -263,20 +359,26 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return self.scale(other)
         variables = self._merge_vars(self, other)
-        n1, p1, d1 = self._embedded(variables)
-        n2, p2, d2 = other._embedded(variables)
+        p1, p2, d1, d2 = self.den_pow, other.den_pow, self.den_diff, other.den_diff
         den_pow = {v: p1.get(v, 0) + p2.get(v, 0) for v in set(p1) | set(p2)}
         den_diff = {k: d1.get(k, 0) + d2.get(k, 0) for k in set(d1) | set(d2)}
-        return RationalFunction(variables, _poly_mul(n1, n2), den_pow, den_diff)
+        num = _poly_mul(self._embedded(variables), other._embedded(variables))
+        return RationalFunction._from_ints(variables, num, self.int_den * other.int_den, den_pow, den_diff)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, value) -> "RationalFunction":
-        return RationalFunction(self.vars, _poly_scale(self.num, Fraction(value)), self.den_pow, self.den_diff)
+        """Multiply by a scalar; a nonzero scalar keeps the normal form."""
+        value = Fraction(value)
+        if not value:
+            return RationalFunction._raw(self.vars, {}, 1, {}, {})
+        p = value.numerator
+        num, den = _reduced({cell: c * p for cell, c in self.int_num.items()}, self.int_den * value.denominator)
+        return RationalFunction._raw(self.vars, num, den, dict(self.den_pow), dict(self.den_diff))
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.int_num
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -295,16 +397,12 @@ class RationalFunction:
         variables = tuple(sorted(set(new_names), key=_var_key))
         pos = [variables.index(n) for n in new_names]
         num: Poly = {}
-        for cell, c in self.num.items():
+        for cell, c in self.int_num.items():
             big = [0] * len(variables)
             for p, e in zip(pos, cell):
                 big[p] += e
             key = tuple(big)
-            s = num.get(key, 0) + c
-            if s:
-                num[key] = s
-            else:
-                num.pop(key, None)
+            num[key] = num.get(key, 0) + c
         den_pow: Dict[str, int] = {}
         for v, a in self.den_pow.items():
             nv = mapping.get(v, v)
@@ -319,26 +417,31 @@ class RationalFunction:
             if (nx, ny) != key:
                 sign *= (-1) ** b
             den_diff[key] = den_diff.get(key, 0) + b
-        if sign == -1:
-            num = _poly_scale(num, Fraction(-1))
-        return RationalFunction(variables, num, den_pow, den_diff)
+        num = {cell: sign * c for cell, c in num.items() if c}
+        return RationalFunction._from_ints(variables, num, self.int_den, den_pow, den_diff)
 
     # -- regional expansion ------------------------------------------------
 
-    def monomial_summands(self):
-        """Yield (coeff, fixed exponent map, diff factor list) per numerator term.
+    def integer_summands(self, scale: int = 1):
+        """Yield (scale * integer coefficient, fixed exponent map, diff factor
+        list) per numerator term; the coefficients are over `int_den`.
 
         Fixed exponents fold the z_i^a denominator in (so they may be
         negative); diff factors are (x, y, power) with x canonically first.
         """
-        for cell, c in self.num.items():
+        diffs = [(x, y, b) for (x, y), b in sorted(self.den_diff.items())]
+        for cell, c in self.int_num.items():
             fixed = {}
             for v, e in zip(self.vars, cell):
                 e -= self.den_pow.get(v, 0)
                 if e:
                     fixed[v] = e
-            diffs = [(x, y, b) for (x, y), b in sorted(self.den_diff.items())]
-            yield c, fixed, diffs
+            yield c * scale, fixed, list(diffs)
+
+    def monomial_summands(self):
+        """`integer_summands` with each coefficient as its exact Fraction."""
+        for c, fixed, diffs in self.integer_summands():
+            yield Fraction(c, self.int_den), fixed, diffs
 
     def expand_region(self, order: Iterable[str], box_intervals) -> LaurentPoly:
         """Exact Laurent table in the region |o1| > |o2| > ..., on a box.
@@ -351,15 +454,15 @@ class RationalFunction:
         if set(self.vars) - set(order):
             raise ValueError("region order must cover all variables")
         box = Box(order, box_intervals)
-        out = LaurentPoly(order)
-        for coeff, fixed, diffs in self.monomial_summands():
-            out = out + _expand_monomial(order, box, coeff, fixed, diffs)
-        return out.crop(box)
+        npos = {v: i for i, v in enumerate(order)}
+        table = region_cells(self, npos, [hi for _, hi in box.intervals])
+        den = self.int_den
+        return LaurentPoly(order, {cell: Fraction(c, den) for cell, c in table.items() if box.contains(cell)})
 
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
-        if not self.num:
+        if not self.int_num:
             return "0"
         terms = []
         for cell, c in sorted(self.num.items(), reverse=True):
@@ -390,77 +493,66 @@ class RationalFunction:
         return self.render()
 
 
-def _expand_monomial(order, box, coeff, fixed, diffs) -> LaurentPoly:
-    """Region-expand coeff * prod z^fixed / prod (x - y)^b onto a box.
+def region_cells(
+    rf: RationalFunction, order_index: Mapping[str, int], caps: Sequence[int], scale: int = 1
+) -> Dict[Cell, int]:
+    """Laurent cells of `scale * rf.int_num` over rf's denominator, expanded
+    in the region |order[0]| > |order[1]| > ..., with every exponent at or
+    below its cap; the values are ints over `rf.int_den`.
 
-    Each difference factor is a geometric series in its inner (smaller)
-    variable; truncation budgets are resolved from the last region
-    variable backwards, which bounds every admissible choice exactly.
+    Each difference factor is a geometric series in its inner (later)
+    variable, (x - y)^-b = sum_k C(b+k-1, k) x^(-b-k) y^k.  Inner degrees
+    are chosen from the last region variable backwards: when a position is
+    reached, every factor that lowers it is already chosen, so its budget
+    bounds the choices there exactly and every leaf is within the caps.
     """
-    npos = {v: i for i, v in enumerate(order)}
-    factors = []
-    for (x, y, b) in diffs:
-        if b == 0:
-            continue
-        outer, inner = x, y
-        if npos[x] > npos[y]:
+    nv = len(caps)
+    members = [[] for _ in range(nv)]  # factors (outer, power, sign) by inner position
+    for (x, y), b in sorted(rf.den_diff.items()):
+        px, py = order_index[x], order_index[y]
+        if px < py:
+            members[py].append((px, b, 1))
+        else:
             # (x - y)^-b = (-1)^b (y - x)^-b, expanded with y as the outer variable
-            outer, inner = y, x
-        factors.append({
-            "outer": npos[outer],
-            "inner": npos[inner],
-            "power": b,
-            "sign": 1 if outer == x else (-1) ** b,
-        })
-    fixed_vec = [fixed.get(v, 0) for v in order]
-    his = [hi for _, hi in box.intervals]
-    table: Dict[Tuple[int, ...], Fraction] = {}
+            members[px].append((py, b, -1 if b & 1 else 1))
+    base = [0] * nv
+    for v, a in rf.den_pow.items():
+        base[order_index[v]] -= a
+    pos_of = [order_index[v] for v in rf.vars]
+    out: Dict[Cell, int] = {}
+    cell = [0] * nv
 
-    by_inner: Dict[int, List[int]] = {}
-    for idx, f in enumerate(factors):
-        by_inner.setdefault(f["inner"], []).append(idx)
-
-    ks = [0] * len(factors)
-
-    def descend(pos: int):
-        if pos < 0:
-            cell = list(fixed_vec)
-            value = Fraction(coeff)
-            for f, k in zip(factors, ks):
-                cell[f["inner"]] += k
-                cell[f["outer"]] -= f["power"] + k
-                value *= f["sign"] * binom(f["power"] + k - 1, k)
-            cell = tuple(cell)
-            if box.contains(cell):
-                s = table.get(cell, 0) + value
-                if s:
-                    table[cell] = s
-                else:
-                    table.pop(cell, None)
-            return
-        budget = his[pos] - fixed_vec[pos]
-        for f, k in zip(factors, ks):
-            if f["outer"] == pos:
-                budget += f["power"] + k
-        members = by_inner.get(pos, [])
-        if budget < 0:
-            # even zero inner degree overshoots hi at this position
-            return
-
-        def assign(mi: int, remaining: int):
-            if mi == len(members):
-                descend(pos - 1)
+    def walk(pos, value):
+        while pos >= 0 and not members[pos]:
+            if cell[pos] > caps[pos]:
                 return
-            idx = members[mi]
-            for k in range(remaining + 1):
-                ks[idx] = k
-                assign(mi + 1, remaining - k)
-            ks[idx] = 0
+            pos -= 1
+        if pos < 0:
+            key = tuple(cell)
+            out[key] = out.get(key, 0) + value
+            return
+        if cell[pos] <= caps[pos]:
+            assign(members[pos], 0, pos, caps[pos] - cell[pos], value)
 
-        assign(0, budget)
+    def assign(group, mi, pos, remaining, value):
+        if mi == len(group):
+            walk(pos - 1, value)
+            return
+        outer, b, sign = group[mi]
+        cell[outer] -= b
+        for k in range(remaining + 1):
+            assign(group, mi + 1, pos, remaining - k, value * sign * binom(b + k - 1, k))
+            cell[pos] += 1
+            cell[outer] -= 1
+        cell[pos] -= remaining + 1
+        cell[outer] += b + remaining + 1
 
-    descend(len(order) - 1)
-    return LaurentPoly(order, table)
+    for mono, c in rf.int_num.items():
+        cell[:] = base
+        for p, e in zip(pos_of, mono):
+            cell[p] += e
+        walk(nv - 1, c * scale)
+    return {key: c for key, c in out.items() if c}
 
 
 def f_mn(m: int, n: int, x: str, y: str) -> RationalFunction:

@@ -1,8 +1,12 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and binomials.
 
-All coefficients in this package are `fractions.Fraction` values (always
-reduced, positive denominator).  Plain ints mix freely with them, so the
-integer-valued helpers below return ints.
+Every coefficient the package hands out is a `fractions.Fraction` (always
+reduced, positive denominator).  Hot paths clear denominators once and
+compute with ints: a `RationalFunction` holds integer numerator
+coefficients over one common denominator (its `num` view gives the
+Fractions), and the series engine and the bracket Pfaffians accumulate
+ints and divide once at the end.  Plain ints mix freely with Fractions,
+so the integer-valued helpers below return ints.
 """
 from __future__ import annotations
 

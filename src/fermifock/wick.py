@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .fock import FockVector, HSpace, Word
 from .pfaffian import pfaffian
-from .ratfun import RationalFunction, f_mn
+from .ratfun import RationalFunction, f_mn, region_cells
 from .scalars import binom
 from .vertex import Cell, integer_terms, series_into, wrap_table
 
@@ -281,12 +281,6 @@ def _grid_lower_bounds(factors, order_index, nvars, words) -> List[int]:
     return [_slot_floor(groups.get(var, []), words) for var in range(nvars)]
 
 
-def _int_summands(coeff_rf: RationalFunction, D: int):
-    """`monomial_summands` with each coefficient scaled by D to an int."""
-    for c, fixed, diffs in coeff_rf.monomial_summands():
-        yield c.numerator * (D // c.denominator), fixed, diffs
-
-
 def _table_add(table, cell, vec_terms, coeff):
     row = table.setdefault(cell, {})
     for w, c in vec_terms.items():
@@ -320,30 +314,29 @@ def noexpr_apply(
     los = [lo for lo, _ in intervals]
     his = [hi for _, hi in intervals]
     v_terms, D = integer_terms(v)
-    Dc = lcm(*(c.denominator for rf, _ in expr.terms for c, _, _ in rf.monomial_summands()))
+    Dc = lcm(*(rf.int_den for rf, _ in expr.terms))
     acc: Dict[Cell, Dict[Word, int]] = {}
 
     for coeff_rf, factors in expr.terms:
         shifted = [f for f in factors if "+" in f.var]
         if shifted and coeff_rf.den_diff:
             raise NotImplementedError("shifted factors with difference kernels")
-        summands = _int_summands(coeff_rf, Dc)
+        scale = Dc // coeff_rf.int_den
         if shifted:
+            summands = coeff_rf.integer_summands(scale)
             _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his, acc)
         else:
-            _apply_plain_term(space, summands, factors, v_terms, order_index, los, his, acc)
+            _apply_plain_term(space, coeff_rf, scale, factors, v_terms, order_index, los, his, acc)
     return wrap_table(acc, D * Dc)
 
 
-def _apply_plain_term(space, summands, factors, v_terms, order_index, los, his, acc):
+def _apply_plain_term(space, coeff_rf, scale, factors, v_terms, order_index, los, his, acc):
     nv = len(los)
     engine_factors = tuple((f.gen, f.deriv, order_index[f.var]) for f in factors)
     lows = _grid_lower_bounds(factors, order_index, nv, v_terms)
     # enumerate the Laurent cells of the coefficient that can reach the window
-    rf_cells: Dict[Cell, int] = {}
     cell_his = [hi - lw for hi, lw in zip(his, lows)]
-    for c, fixed, diffs in summands:
-        _region_cells(order_index, cell_his, c, fixed, diffs, rf_cells)
+    rf_cells = region_cells(coeff_rf, order_index, cell_his, scale)
     if not rf_cells:
         return
     box = []
@@ -361,64 +354,6 @@ def _apply_plain_term(space, summands, factors, v_terms, order_index, los, his, 
             out = tuple(a + b for a, b in zip(ecell, tcell))
             if all(l <= x <= h for x, l, h in zip(out, los, his)):
                 _table_add(acc, out, row, c)
-
-
-def _region_cells(order_index, cell_his, coeff, fixed, diffs, out: Dict[Cell, int]):
-    """Collect Laurent cells of coeff * prod z^fixed / prod (x-y)^b whose
-    exponents stay below the per-variable caps."""
-    nv = len(cell_his)
-    fixed_vec = [0] * nv
-    for var, e in fixed.items():
-        fixed_vec[order_index[var]] = e
-    factors = []
-    for x, y, b in diffs:
-        if not b:
-            continue
-        px, py = order_index[x], order_index[y]
-        outer, inner, sign = (px, py, 1) if px < py else (py, px, (-1) ** b)
-        factors.append((outer, inner, b, sign))
-    ks = [0] * len(factors)
-    by_inner: Dict[int, List[int]] = {}
-    for idx, (_, inner, _, _) in enumerate(factors):
-        by_inner.setdefault(inner, []).append(idx)
-
-    def descend(pos):
-        if pos < 0:
-            cell = list(fixed_vec)
-            value = coeff
-            for (outer, inner, b, sign), k in zip(factors, ks):
-                cell[inner] += k
-                cell[outer] -= b + k
-                value *= sign * binom(b + k - 1, k)
-            cell = tuple(cell)
-            if all(c <= cap for c, cap in zip(cell, cell_his)):
-                s = out.get(cell, 0) + value
-                if s:
-                    out[cell] = s
-                else:
-                    out.pop(cell, None)
-            return
-        budget = cell_his[pos] - fixed_vec[pos]
-        for (outer, _, b, _), k in zip(factors, ks):
-            if outer == pos:
-                budget += b + k
-        if budget < 0:
-            return
-        members = by_inner.get(pos, [])
-
-        def assign(mi, remaining):
-            if mi == len(members):
-                descend(pos - 1)
-                return
-            idx = members[mi]
-            for k in range(remaining + 1):
-                ks[idx] = k
-                assign(mi + 1, remaining - k)
-            ks[idx] = 0
-
-        assign(0, budget)
-
-    descend(nv - 1)
 
 
 def _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his, acc):

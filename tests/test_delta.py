@@ -300,3 +300,40 @@ def test_exp_delta_negative_commutator_check():
         )
         # an empty coefficient table makes both sides vanish on every cell
         assert report["status"] == ("pass" if C.entries else "inconclusive"), report
+
+
+def test_integer_bracket_kernel_under_rational_gram_and_coefficients():
+    """Brackets with denominators are cleared to one integer kernel; the
+    Pfaffian routes must still agree with both slow routes and the iterated
+    powers, and every value must come back as a Fraction."""
+    rng = random.Random(107)
+    gram = [[Fraction(1, 2), Fraction(2, 3), 1, Fraction(-3, 4)],
+            [Fraction(2, 3), Fraction(1, 5), Fraction(1, 3), 1],
+            [1, Fraction(1, 3), Fraction(-2, 7), Fraction(1, 2)],
+            [Fraction(-3, 4), 1, Fraction(1, 2), Fraction(5, 6)]]
+    space = HSpace(2, gram)
+    for _ in range(4):
+        C = DeltaCoeffs({(m, n): Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([2, 3, 4, 9]))
+                         for m in range(6) for n in range(m + 1, 6)})
+        r = 8
+        gens = [rng.randrange(4) for _ in range(r)]
+        levels = [rng.randint(0, 5) for _ in range(r)]
+        for size in (2, 4, 6, 8):
+            idx = tuple(sorted(rng.sample(range(r), size)))
+            a = t_number(space, C, gens, levels, idx)
+            assert type(a) is Fraction
+            assert a == t_number_alt(space, C, gens, levels, idx) == t_number_pairings(space, C, gens, levels, idx)
+        word = tuple((g, -m - 1) for g, m in zip(gens, levels))
+        v = FockVector.word(word, Fraction(2, 3)) + FockVector.word(word[:5], Fraction(-1, 4))
+        want = {}
+        for t in range(r // 2 + 1):
+            for e, w in delta_power_over_factorial(space, C, v, t).items():
+                s = want.get(e, FockVector()) + w
+                if s:
+                    want[e] = s
+                else:
+                    want.pop(e, None)
+        got = exp_delta(space, C, v)
+        assert got == want
+        assert any(c.denominator > 1 for w in got.values() for c in w.terms.values())
+        assert all(type(c) is Fraction for w in got.values() for c in w.terms.values())
