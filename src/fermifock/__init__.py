@@ -11,7 +11,6 @@ from .delta import (
 )
 from .fock import (
     VACUUM,
-    AlgebraConfig,
     FockVector,
     HSpace,
     apply_mode,

@@ -24,7 +24,7 @@ from .delta import (
     t_number_alt,
     t_number_pairings,
 )
-from .fock import AlgebraConfig, FockVector, HSpace, Word, random_state, random_word, word_str
+from .fock import FockVector, HSpace, Word, random_state, random_word, word_str
 from .laurent import Box
 from .scalars import format_rational, parse_rational
 from .straightening import defect, pbw_normal_form
@@ -39,9 +39,9 @@ class UsageError(Exception):
 # -- config ------------------------------------------------------------------
 
 
-def load_config(path: str | None) -> Tuple[AlgebraConfig, DeltaCoeffs]:
+def load_config(path: str | None) -> Tuple[HSpace, DeltaCoeffs]:
     if path is None:
-        return AlgebraConfig(HSpace(2)), DeltaCoeffs.default()
+        return HSpace(2), DeltaCoeffs.default()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -53,7 +53,6 @@ def load_config(path: str | None) -> Tuple[AlgebraConfig, DeltaCoeffs]:
         if gram is not None:
             gram = [[parse_rational(str(x)) for x in row] for row in gram]
         space = HSpace(M, gram)
-        central = parse_rational(str(raw.get("l", "1")))
         triples = [
             (int(m), int(n), parse_rational(str(val)))
             for m, n, val in raw.get("delta_coeffs", [[0, 1, "1"]])
@@ -61,7 +60,7 @@ def load_config(path: str | None) -> Tuple[AlgebraConfig, DeltaCoeffs]:
         coeffs = DeltaCoeffs.from_list(triples)
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError(f"bad config: {e}")
-    return AlgebraConfig(space, central), coeffs
+    return space, coeffs
 
 
 # -- state expressions ---------------------------------------------------------
@@ -340,8 +339,7 @@ def _suite_pbw(rep, space, rng, trials=60):
 
 
 def cmd_check(args) -> int:
-    config, coeffs = load_config(args.config)
-    space = config.space
+    space, coeffs = load_config(args.config)
     if not space.dim:
         raise UsageError("check needs at least one generator pair (config M >= 1)")
     for flag in ("r", "s", "max_weight"):
@@ -371,7 +369,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    space = load_config(args.config)[0].space
+    space = load_config(args.config)[0]
     scale = Fraction(1)
     insertions = []
     for text in args.insertions:
@@ -389,7 +387,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    space = load_config(args.config)[0].space
+    space = load_config(args.config)[0]
     insertions = []
     scale = Fraction(1)
     for text in args.insertions:
@@ -413,8 +411,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_expdelta(args) -> int:
-    config, coeffs = load_config(args.config)
-    space = config.space
+    space, coeffs = load_config(args.config)
     vec = parse_state(space, args.state)
     closed = exp_delta(space, coeffs, vec)
     rmax = max((len(w) for w in vec.terms), default=0)

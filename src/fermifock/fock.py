@@ -17,32 +17,12 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+from .pfaffian import det
+
 Mode = Tuple[int, int]  # (generator index, level n) for h(n + 1/2)
 Word = Tuple[Mode, ...]
 
 VACUUM: Word = ()
-
-
-def _det(matrix: List[List[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free row elimination."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
 
 
 class HSpace:
@@ -71,7 +51,7 @@ class HSpace:
                 for j in range(i):
                     if self.gram[i][j] != self.gram[j][i]:
                         raise ValueError("gram must be symmetric")
-            if self.dim and _det(self.gram) == 0:
+            if self.dim and det(self.gram) == 0:
                 raise ValueError("gram must be nondegenerate")
         # integer entries stay plain ints so hot loops avoid Fraction churn
         self._pair = [
@@ -99,14 +79,6 @@ class HSpace:
 
     def __repr__(self):
         return f"HSpace(M={self.M})"
-
-
-class AlgebraConfig:
-    """An algebra instance: the space plus the central scalar acting on k."""
-
-    def __init__(self, space: HSpace, central_scalar: Fraction = Fraction(1)):
-        self.space = space
-        self.central_scalar = Fraction(central_scalar)
 
 
 def is_creation(mode: Mode) -> bool:

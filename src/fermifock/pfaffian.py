@@ -12,10 +12,14 @@ and memoising Pf on the bitmask of S makes every visited minor cost one
 term per nonzero entry of its first row.  Entries are exact ring
 elements (`int`, `Fraction` or `RationalFunction`); absent entries are
 zero.
+
+`det` is the one scalar determinant (exact elimination over `Fraction`):
+the Gram nondegeneracy check and the Wick closed forms share it.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, TypeVar
+from fractions import Fraction
+from typing import Dict, Iterable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -56,3 +60,29 @@ def pfaffian(kernel: Kernel, masks: Iterable[int], one: T) -> Dict[int, T]:
     for mask in masks:
         pf(mask)
     return memo
+
+
+def det(matrix: Sequence[Sequence]) -> Fraction:
+    """Exact determinant by Gaussian elimination with division by pivots.
+
+    Entries (`int` or `Fraction`) become `Fraction`s up front, so every
+    division is exact and the result is a `Fraction`.
+    """
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    result = Fraction(1)
+    for col in range(n):
+        i = next((r for r in range(col, n) if m[r][col]), None)
+        if i is None:
+            return Fraction(0)
+        if i != col:
+            m[col], m[i] = m[i], m[col]
+            result = -result
+        pivot = m[col]
+        result *= pivot[col]
+        for row in m[col + 1:]:
+            if row[col]:
+                factor = row[col] / pivot[col]
+                for c in range(col, n):
+                    row[c] -= factor * pivot[c]
+    return result

@@ -8,9 +8,13 @@ the contractions weighted by determinants of pairing kernels:
       (-1)^(sum I + sum J) (-1)^(r rho + rho(rho+1)/2)
       det[ (a_i, b_j) f_{m_i n_j}(x_i, y_j) ]  :A without I, B without J:
 
-with r = len(A).  The rho = 0 term is the plain concatenation.  Iterating
-an operator instead of composing replaces the kernel by the pure Laurent
-coefficient (x^(-n-1))^(m) and re-centers surviving A factors at y+x.
+with r = len(A).  The rho = 0 term is the plain concatenation.  In the
+closed forms each side sits at one variable, so each determinant is a
+scalar d = det[(a_i, b_j) C(-n_j-1, m_i)] times one power of degree
+k = sum_I m_i + sum_J n_j + rho: d / (x - y)^k for the product, d x^(-k)
+for the iterate (whose surviving A factors are re-centered at y+x).  The
+distinct-variable route (`wick_fuse`, `contraction_det`, `noexpr_mul`)
+is kept as the oracle.
 
 Normal ordering here is a formal mark on an ordered factor list; factors
 are never reordered (creation parts have no relations to exploit).
@@ -21,12 +25,12 @@ folding the products (`noexpr_mul`) is kept as the slow oracle.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from math import lcm
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .fock import FockVector, HSpace, Word
-from .pfaffian import pfaffian
+from .pfaffian import det, pfaffian
 from .ratfun import RationalFunction, f_mn, region_cells
 from .scalars import binom
 from .vertex import Cell, integer_terms, series_into, wrap_table
@@ -58,16 +62,6 @@ class NOExpr:
     def __len__(self):
         return len(self.terms)
 
-    def scale(self, value) -> "NOExpr":
-        return NOExpr([(c.scale(value), fs) for c, fs in self.terms])
-
-    def substitute(self, mapping: Dict[str, str]) -> "NOExpr":
-        out = []
-        for c, fs in self.terms:
-            fs2 = tuple(f._replace(var=mapping.get(f.var, f.var)) for f in fs)
-            out.append((c.substitute(mapping), fs2))
-        return NOExpr(out)
-
     def __repr__(self):
         if not self.terms:
             return "NOExpr(0)"
@@ -83,24 +77,18 @@ def word_factors(word: Word, var: str) -> Tuple[Factor, ...]:
     return tuple(Factor(g, -level - 1, var) for g, level in word)
 
 
-def _rf_det(matrix: List[List[RationalFunction]]) -> RationalFunction:
-    """Permutation expansion; keeps the arithmetic division-free."""
-    n = len(matrix)
-    if n == 0:
-        return RationalFunction.from_scalar(1)
-    total = RationalFunction.from_scalar(0)
-    for perm in permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        prod = RationalFunction.from_scalar(-1 if inv & 1 else 1)
-        for i in range(n):
-            entry = matrix[i][perm[i]]
-            if entry.is_zero():
-                prod = None
-                break
-            prod = prod * entry
-        if prod is not None:
-            total = total + prod
-    return total
+def _contractions(r: int, s: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+    """(I, J, sign) for every rho >= 1 contraction of r left and s right
+    factors; 0-based index sums have the parity of the 1-based ones."""
+    for rho in range(1, min(r, s) + 1):
+        base = r * rho + rho * (rho + 1) // 2
+        for I in combinations(range(r), rho):
+            for J in combinations(range(s), rho):
+                yield I, J, (-1) ** (base + sum(I) + sum(J))
+
+
+def _survivors(A, B, I, J) -> Tuple[Factor, ...]:
+    return tuple(f for i, f in enumerate(A) if i not in I) + tuple(f for j, f in enumerate(B) if j not in J)
 
 
 def contraction_det(
@@ -108,47 +96,40 @@ def contraction_det(
     rows: Sequence[Tuple[int, int, str]],
     cols: Sequence[Tuple[int, int, str]],
 ) -> RationalFunction:
-    """det[(a_i, b_j) f_{m_i n_j}(x_i, y_j)] for rows (a, m, x), cols (b, n, y)."""
-    if len(rows) != len(cols) or not rows:
+    """det[(a_i, b_j) f_{m_i n_j}(x_i, y_j)] for rows (a, m, x), cols (b, n, y):
+    (-1)^(n(n-1)/2) times the Pfaffian of the kernel joining item i to n + j."""
+    n = len(rows)
+    if n != len(cols) or not n:
         raise ValueError("contraction determinant needs a nonempty square block")
-    matrix = []
-    for a, m, x in rows:
-        row = []
-        for b, n, y in cols:
+    kernel: Dict[int, Dict[int, RationalFunction]] = {}
+    for i, (a, m, x) in enumerate(rows):
+        for j, (b, nj, y) in enumerate(cols):
             p = space.pair(a, b)
-            row.append(f_mn(m, n, x, y).scale(p) if p else RationalFunction.from_scalar(0))
-        matrix.append(row)
-    return _rf_det(matrix)
+            if p:
+                kernel.setdefault(i, {})[n + j] = f_mn(m, nj, x, y).scale(p)
+    full = (1 << 2 * n) - 1
+    pf = pfaffian(kernel, [full], RationalFunction.from_scalar(1))[full]
+    return -pf if n * (n - 1) // 2 % 2 else pf
 
 
 def wick_fuse(space: HSpace, A: Sequence[Factor], B: Sequence[Factor]) -> NOExpr:
     """Expand :A: :B: into contracted normal-ordered terms.
 
     A and B must live on disjoint variable sets; contraction kernels are
-    evaluated at the factors' own variables.
+    evaluated at the factors' own variables.  Kept as the oracle route.
     """
     A = tuple(A)
     B = tuple(B)
     if {f.var for f in A} & {f.var for f in B}:
         raise ValueError("factor groups must use disjoint variables")
-    r, s = len(A), len(B)
     terms = [(RationalFunction.from_scalar(1), A + B)]
-    for rho in range(1, min(r, s) + 1):
-        base = (-1) ** (r * rho + rho * (rho + 1) // 2)
-        for I in combinations(range(r), rho):
-            for J in combinations(range(s), rho):
-                sign = base * (-1) ** (sum(I) + sum(J) + 2 * rho)  # 1-based index sums
-                det = contraction_det(
-                    space,
-                    [(A[i].gen, A[i].deriv, A[i].var) for i in I],
-                    [(B[j].gen, B[j].deriv, B[j].var) for j in J],
-                )
-                if det.is_zero():
-                    continue
-                keep = tuple(A[i] for i in range(r) if i not in I) + tuple(
-                    B[j] for j in range(s) if j not in J
-                )
-                terms.append((det.scale(sign), keep))
+    for I, J, sign in _contractions(len(A), len(B)):
+        det_IJ = contraction_det(
+            space,
+            [(A[i].gen, A[i].deriv, A[i].var) for i in I],
+            [(B[j].gen, B[j].deriv, B[j].var) for j in J],
+        )
+        terms.append((det_IJ.scale(sign), _survivors(A, B, I, J)))
     return NOExpr(terms)
 
 
@@ -162,55 +143,39 @@ def noexpr_mul(space: HSpace, left: NOExpr, right: NOExpr) -> NOExpr:
     return NOExpr(out)
 
 
-def wick_product(space: HSpace, u1: Word, u2: Word) -> NOExpr:
-    """Two-operator product in variables (x, y), |x| > |y| on expansion.
+def _closed_form(space: HSpace, A, B, one: RationalFunction, power: Callable) -> NOExpr:
+    """:A: :B: with each side at one variable: the concatenation weighted by
+    `one`, each contraction by power(sign * d, k) (see the module notes)."""
+    terms = [(one, A + B)]
+    for I, J, sign in _contractions(len(A), len(B)):
+        d = det([[space.pair(A[i].gen, B[j].gen) * binom(-B[j].deriv - 1, A[i].deriv) for j in J] for i in I])
+        if d:
+            k = sum(A[i].deriv for i in I) + sum(B[j].deriv for j in J) + len(I)
+            terms.append((power(sign * d, k), _survivors(A, B, I, J)))
+    return NOExpr(terms)
 
-    Built from the distinct-variable expansion by the syntactic
-    substitutions x_i -> x, y_j -> y (no difference factor collapses,
-    since contractions only ever pair an x-slot with a y-slot).
-    """
-    A = tuple(Factor(g, -l - 1, f"x{i+1}") for i, (g, l) in enumerate(u1))
-    B = tuple(Factor(g, -l - 1, f"y{j+1}") for j, (g, l) in enumerate(u2))
-    fused = wick_fuse(space, A, B)
-    mapping = {f.var: "x" for f in A}
-    mapping.update({f.var: "y" for f in B})
-    return fused.substitute(mapping)
+
+def wick_product(space: HSpace, u1: Word, u2: Word) -> NOExpr:
+    """Two-operator product in variables (x, y), |x| > |y| on expansion."""
+    return _closed_form(
+        space,
+        word_factors(u1, "x"),
+        word_factors(u2, "y"),
+        RationalFunction.from_scalar(1),
+        lambda d, k: RationalFunction.diff_inverse("x", "y", k, d),
+    )
 
 
 def wick_iterate(space: HSpace, u1: Word, u2: Word) -> NOExpr:
     """Iterate expansion: kernels become pure Laurent coefficients in x and
     surviving first-slot factors sit at y+x (nonnegative powers of x)."""
-    r, s = len(u1), len(u2)
-    ms = [-l - 1 for _, l in u1]
-    ns = [-l - 1 for _, l in u2]
-    A = tuple(Factor(g, m, "y+x") for (g, _), m in zip(u1, ms))
-    B = tuple(Factor(g, n, "y") for (g, _), n in zip(u2, ns))
-    terms = [(RationalFunction.from_scalar(1, ("x",)), A + B)]
-    for rho in range(1, min(r, s) + 1):
-        base = (-1) ** (r * rho + rho * (rho + 1) // 2)
-        for I in combinations(range(r), rho):
-            for J in combinations(range(s), rho):
-                sign = base * (-1) ** (sum(I) + sum(J) + 2 * rho)
-                matrix = []
-                for i in I:
-                    row = []
-                    for j in J:
-                        p = space.pair(u1[i][0], u2[j][0])
-                        c = p * binom(-ns[j] - 1, ms[i]) if p else 0
-                        row.append(
-                            RationalFunction.monomial(("x",), {"x": -ns[j] - ms[i] - 1}, c)
-                            if c
-                            else RationalFunction.from_scalar(0, ("x",))
-                        )
-                    matrix.append(row)
-                det = _rf_det(matrix)
-                if det.is_zero():
-                    continue
-                keep = tuple(A[i] for i in range(r) if i not in I) + tuple(
-                    B[j] for j in range(s) if j not in J
-                )
-                terms.append((det.scale(sign), keep))
-    return NOExpr(terms)
+    return _closed_form(
+        space,
+        word_factors(u1, "y+x"),
+        word_factors(u2, "y"),
+        RationalFunction.from_scalar(1, ("x",)),
+        lambda d, k: RationalFunction.monomial(("x",), {"x": -k}, d),
+    )
 
 
 def vacuum_expectation(expr: NOExpr) -> RationalFunction:

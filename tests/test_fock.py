@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -18,6 +19,7 @@ from fermifock.fock import (
     weight,
     weight2,
 )
+from fermifock.pfaffian import det
 
 SPACE = HSpace(2)
 E1, E2, F1, F2 = 0, 1, 2, 3
@@ -40,6 +42,38 @@ def test_pairing_index_errors_and_bad_gram():
         HSpace(1, [[0, 1], [2, 0]])  # asymmetric
     with pytest.raises(ValueError):
         HSpace(1, [[0, 0], [0, 0]])  # degenerate
+    # a a^T + b b^T - c c^T for a, b, c = (1, 1, 1, 2), (1, -1, 2, 0), (2, 1, 1, 3):
+    # rank 3, no zero entry
+    with pytest.raises(ValueError, match="nondegenerate"):
+        HSpace(2, [[-2, -2, 1, -4], [-2, 1, -2, -1], [1, -2, 4, -1], [-4, -1, -1, -5]])
+
+
+def test_det_exact_on_int_and_rational_matrices():
+    """Elimination divides by pivots; on int input every division must stay
+    a Fraction, and the value must equal the permutation expansion."""
+
+    def expansion(m):
+        total = Fraction(0)
+        for perm in permutations(range(len(m))):
+            inv = sum(perm[i] > perm[j] for i in range(len(m)) for j in range(i + 1, len(m)))
+            term = Fraction((-1) ** inv)
+            for i, j in enumerate(perm):
+                term *= m[i][j]
+            total += term
+        return total
+
+    rng = random.Random(19)
+    int_entries = [0, 0, 1, -1, 2, 3, -5]
+    rational_entries = [0, Fraction(1, 2), Fraction(-2, 3), 1, Fraction(5, 7)]
+    for _ in range(30):
+        for pool in (int_entries, rational_entries):
+            for n in range(1, 5):
+                m = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+                got = det(m)
+                assert type(got) is Fraction and got == expansion(m), m
+    # int pivots that do not divide the entries below them, and a row swap
+    got = det([[0, 2, 1], [3, 1, 1], [2, 1, 4]])
+    assert type(got) is Fraction and got == -19
 
 
 def test_custom_gram_and_empty_space():

@@ -373,3 +373,56 @@ def test_contraction_det_isotropic_block_vanishes():
     rows = [(E1, 0, "x1"), (E2, 1, "x2")]
     cols = [(E1, 0, "y1"), (E2, 0, "y2")]
     assert contraction_det(SPACE, rows, cols).is_zero()
+
+
+def _fused_then_substituted(space, u1, u2):
+    """The route `wick_product` replaced: the distinct-variable expansion at
+    x1, x2, ... and y1, y2, ..., then x_i -> x and y_j -> y on every term
+    (a determinant with equal rows or columns after it vanishes)."""
+    A = tuple(Factor(g, -l - 1, f"x{i+1}") for i, (g, l) in enumerate(u1))
+    B = tuple(Factor(g, -l - 1, f"y{j+1}") for j, (g, l) in enumerate(u2))
+    mapping = {f.var: "x" for f in A} | {f.var: "y" for f in B}
+    substituted = [
+        (c.substitute(mapping), tuple(f._replace(var=mapping[f.var]) for f in fs))
+        for c, fs in wick_fuse(space, A, B).terms
+    ]
+    return NOExpr(substituted).terms
+
+
+def test_wick_product_scalar_determinants_match_fused_route():
+    """Each contraction of the product is a scalar determinant times one
+    power of (x - y); the terms, their order, factor lists, values, rendered
+    forms and variable tuples equal those of the substituted fuse route."""
+    rational = [
+        [Fraction(1, 2), Fraction(-5, 7), 1, 0],
+        [Fraction(-5, 7), 0, Fraction(2, 3), 3],
+        [1, Fraction(2, 3), 0, Fraction(1, 3)],
+        [0, 3, Fraction(1, 3), -2],
+    ]
+    spaces = [HSpace(2), HSpace(1, [[1, 1], [1, 2]]), HSpace(2, FULL_GRAM_2), HSpace(2, rational)]
+    rng = random.Random(67)
+    contracted = 0
+    for trial in range(120):
+        space = spaces[trial % 4]
+        u1, u2 = (
+            tuple((rng.randrange(space.dim), -rng.randint(1, 3)) for _ in range(rng.randint(0, 3)))
+            for _ in range(2)
+        )
+        got = wick_product(space, u1, u2).terms
+        want = _fused_then_substituted(space, u1, u2)
+        assert [fs for _, fs in got] == [fs for _, fs in want], (u1, u2)
+        for (c, _), (w, _) in zip(got, want):
+            assert c == w and c.render() == w.render() and c.vars == w.vars, (u1, u2)
+        contracted += sum(1 for _, fs in got if len(fs) < len(u1) + len(u2))
+    assert contracted >= 250
+
+
+def test_dense_wick_product_vacuum_matches_correlation():
+    """r = s = 4 under a Gram matrix with no zero entry: every contraction
+    block is dense, and the fully contracted term is the two-point function."""
+    space = HSpace(2, FULL_GRAM_2)
+    rng = random.Random(71)
+    for _ in range(20):
+        u1, u2 = (tuple((rng.randrange(4), -rng.randint(1, 3)) for _ in range(4)) for _ in range(2))
+        got = vacuum_expectation(wick_product(space, u1, u2))
+        assert got == correlation(space, [(u1, "x"), (u2, "y")]), (u1, u2)
