@@ -313,7 +313,7 @@ def _apply_plain_term(space, coeff_rf, scale, factors, v_terms, order_index, los
             return
         box.append((lo, hi))
     table: Dict[Cell, Dict[Word, int]] = {}
-    series_into(space, engine_factors, v_terms, tuple(box), table)
+    series_into(space, ((engine_factors, 1),), v_terms, tuple(box), table)
     for ecell, c in rf_cells.items():
         for tcell, row in table.items():
             out = tuple(a + b for a, b in zip(ecell, tcell))
@@ -390,7 +390,7 @@ def _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his
         # joint slot: d_b + c, pinned by the base-variable output window
         box.append((los[bidx] - fixed_vec[bidx], his[bidx] - fixed_vec[bidx] + imax))
         table: Dict[Cell, Dict[Word, int]] = {}
-        series_into(space, tuple(engine_factors), v_terms, tuple(box), table)
+        series_into(space, ((tuple(engine_factors), 1),), v_terms, tuple(box), table)
         for cell, row in table.items():
             cw = cell[wslot]
             joint = cell[vslot]

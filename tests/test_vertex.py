@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+from fermifock import vertex
 from fermifock.fock import (
     VACUUM,
     FockVector,
@@ -23,10 +24,13 @@ from fermifock.vertex import (
     check_axioms,
     check_weak_associativity,
     enumerate_shuffles,
+    integer_terms,
     iterate_series,
     normal_order_modes,
     ordered_factor_series,
     product_series,
+    series_into,
+    wrap_table,
     y_coeff,
     y_series,
 )
@@ -297,7 +301,9 @@ def test_iterate_band_matches_full_window_on_read_cells():
             a = y_coeff(SPACE, u1, k1, u2)
             for (k2,), vec in y_series(SPACE, a, w, lo2 - P, hi2).coeffs.items():
                 full[(k1, k2)] = vec
-        band = _iterate_band(SPACE, u1, u2, w, box, P)
+        (u2_terms, D2), (w_terms, Dw) = integer_terms(u2), integer_terms(w)
+        band = _iterate_band(SPACE, next(iter(u1.terms)), u2_terms, w_terms, box, P)
+        band = wrap_table(band, D2 * Dw)
         for j1 in range(lo1, hi1 + 1):
             for j2 in range(lo2, hi2 + 1):
                 for i in range(P + 1):
@@ -329,10 +335,11 @@ def _mixed_state(rng, max_weight2, nterms):
 
 def _mode_oracle(space, factors, vec, intervals):
     """Normal-ordered factor grid, one mode per factor: factor (g, m, var)
-    is sum_L C(-L-1, m) h_g(L + 1/2) z_var^(-L-1-m) over all levels L;
-    each level tuple is normal-ordered by `normal_order_modes` and applied
-    by `apply_modes`.  Annihilation levels are capped by the deepest mode
-    of vec, creation levels by the window plus what annihilators take off."""
+    is sum_L C(-L-1, m) h_g(L + 1/2) z_var^(-L-1-m) over all levels L (a
+    tuple var charges the exponent to each of its slots); each level tuple
+    is normal-ordered by `normal_order_modes` and applied by `apply_modes`.
+    Annihilation levels are capped by the deepest mode of vec, creation
+    levels by the window plus what annihilators take off."""
     depth = vec.max_level()
     top = max(hi for _, hi in intervals) + sum(depth + 2 + m for _, m, _ in factors)
     out = {}
@@ -341,7 +348,8 @@ def _mode_oracle(space, factors, vec, intervals):
         coeff = 1
         for (_, m, var), level in zip(factors, levels):
             coeff *= binom(-level - 1, m)
-            cell[var] += -level - 1 - m
+            for slot in (var,) if isinstance(var, int) else var:
+                cell[slot] += -level - 1 - m
         cell = tuple(cell)
         if not coeff or not all(lo <= e <= hi for e, (lo, hi) in zip(cell, intervals)):
             continue
@@ -396,3 +404,166 @@ def test_series_engine_matches_mode_oracle_with_mixed_denominators():
             _assert_fraction_coefficients(grid)
             nonzero += len(grid)
     assert nonzero
+
+
+def test_merged_series_walk_matches_one_source_calls_and_mode_oracle():
+    """One series_into call over several sources sums equal partial states
+    of different sources, words and masks before expanding them.  It must
+    equal the sum of one-source calls, which cannot merge across sources,
+    and the mode-by-mode oracle.  The factor lists share their tails, one
+    source is repeated with the opposite scale so that its partial states
+    cancel, and some head factors charge a tuple of slots."""
+    rng = random.Random(9090)
+    intervals = ((-3, 2), (-2, 3))
+    nonzero = 0
+    for space in (SPACE, HSpace(2, RATIONAL_GRAM)):
+        for _ in range(4):
+            tail = tuple(
+                (rng.randrange(space.dim), rng.randint(0, 1), rng.randrange(2))
+                for _ in range(rng.randint(1, 2))
+            )
+            sources = []
+            for _ in range(3):
+                head = ((rng.randrange(space.dim), rng.randint(0, 2), rng.choice((0, 1, (0, 1)))),)
+                sources.append((head[: rng.randint(0, 1)] + tail, rng.choice((1, -2, 3))))
+            sources.append((sources[0][0], -sources[0][1]))
+            v = _mixed_state(rng, 4, 3)
+            terms, D = integer_terms(v)
+
+            merged = {}
+            series_into(space, sources, terms, intervals, merged)
+            merged = wrap_table(merged, D)
+            separate = {}
+            for source in sources:
+                series_into(space, (source,), terms, intervals, separate)
+            assert merged == wrap_table(separate, D)
+
+            want = {}
+            for factors, scale in sources[1:-1]:  # the first and last cancel
+                for cell, vec in _mode_oracle(space, factors, v, intervals).items():
+                    s = want.get(cell, FockVector()) + vec.scale(scale)
+                    if s:
+                        want[cell] = s
+                    else:
+                        want.pop(cell, None)
+            assert merged == want, sources
+            _assert_fraction_coefficients(merged)
+            nonzero += len(want)
+
+            cancelled = {}
+            series_into(space, (sources[0], sources[-1]), terms, intervals, cancelled)
+            assert not wrap_table(cancelled, D)
+
+            # a state whose words share their tail, against one y_series per word
+            tail = random_word(rng, SPACE, 3)
+            u = FockVector({random_word(rng, SPACE, 3) + tail: c for c in MIXED_DENOMINATORS})
+            want = {}
+            for word, c in u.terms.items():
+                for cell, vec in y_series(space, FockVector.word(word, c), v, -4, 3).coeffs.items():
+                    s = want.get(cell, FockVector()) + vec
+                    if s:
+                        want[cell] = s
+                    else:
+                        want.pop(cell, None)
+            series = y_series(space, u, v, -4, 3)
+            assert series.coeffs == want
+            _assert_fraction_coefficients(series.coeffs)
+            nonzero += len(want)
+    assert nonzero
+
+
+def _weak_report_by_vectors(space, u1_word, u2, w, box, poke=None):
+    """The FockVector route of the weak-associativity check: one y_coeff
+    per x2 column and per x0 row, FockVector rows, and sums and scales of
+    FockVectors.  `poke(grid)` may alter the iterate grid before the fold."""
+    u1 = FockVector.word(u1_word)
+    msum = sum(-level - 1 for _, level in u1_word)
+    P = (max(map(weight2, w.terms), default=0) + 2 * msum + 2 * len(u1_word)) // 2
+    t2min = -((max(map(weight2, u2.terms), default=0) + max(map(weight2, w.terms), default=0)) // 2)
+    (lo1, hi1), (lo2, hi2) = box.intervals
+    prod_grid = {}
+    for k2 in range(t2min, hi2 + 1):
+        col = y_coeff(space, u2, k2, w)
+        k1_lo, k1_hi = lo1 + max(lo2, k2) - P - k2, hi1 + hi2 - P - k2
+        if col and k1_lo <= k1_hi:
+            for (k1,), vec in y_series(space, u1, col, k1_lo, k1_hi).coeffs.items():
+                prod_grid[(k1, k2)] = vec
+    iter_grid = {}
+    for k1 in range(lo1 - P, hi1 + 1):
+        a = y_coeff(space, u1, k1, u2)
+        if a:
+            band = (lo2 - min(P, k1 - lo1 + P), hi2 - max(0, k1 - hi1 + P))
+            for (k2,), vec in y_series(space, a, w, *band).coeffs.items():
+                iter_grid[(k1, k2)] = vec
+    if poke:
+        poke(iter_grid)
+    mismatches, seen_nonzero = [], False
+    for j1 in range(lo1, hi1 + 1):
+        for j2 in range(lo2, hi2 + 1):
+            total = j1 + j2 - P
+            lhs = rhs = FockVector()
+            for k2 in range(t2min, j2 + 1):
+                c = prod_grid.get((total - k2, k2))
+                if c:
+                    lhs = lhs + c.scale(binom(total - k2 + P, total - k2 + P - j1))
+            for i in range(P + 1):
+                c = iter_grid.get((j1 - P + i, j2 - i))
+                if c:
+                    rhs = rhs + c.scale(binom(P, i))
+            seen_nonzero = seen_nonzero or bool(lhs or rhs)
+            if lhs != rhs:
+                mismatches.append((j1, j2))
+    status = "fail" if mismatches else "pass" if seen_nonzero else "inconclusive"
+    return {
+        "identity": "weak_associativity",
+        "status": status,
+        "pole_order": P,
+        "window": box.intervals,
+        "mismatches": mismatches,
+    }
+
+
+def test_integer_weak_associativity_fold_matches_fock_vector_fold(monkeypatch):
+    """check_weak_associativity folds int tables over one denominator; the
+    FockVector fold it replaced gives the same report on 60 seeded
+    criterion-2 triples, on a window at high powers where some triples
+    compare only zeros (inconclusive), and with one iterate cell altered by
+    the same amount on both routes (fail, with the same mismatch cells)."""
+    rng = random.Random(31337)
+    box = Box(("x0", "x2"), ((-4, 4), (-4, 4)))
+    far = Box(("x0", "x2"), ((5, 6), (5, 6)))
+    statuses = {}
+    band = vertex._iterate_band
+    for trial in range(60):
+        u1 = random_word(rng, SPACE, 6)
+        u2 = FockVector.word(random_word(rng, SPACE, 6))
+        w = random_state(rng, SPACE, 6)
+        report = check_weak_associativity(SPACE, u1, u2, w, box)
+        assert report == _weak_report_by_vectors(SPACE, u1, u2, w, box), trial
+        statuses[report["status"]] = statuses.get(report["status"], 0) + 1
+        if trial % 10:
+            continue
+        report = check_weak_associativity(SPACE, u1, u2, w, far)
+        assert report == _weak_report_by_vectors(SPACE, u1, u2, w, far)
+        statuses[report["status"]] = statuses.get(report["status"], 0) + 1
+
+        # add (1/D)|word> to the iterate cell (lo1, lo2), D the common denominator
+        cell, word = (-4, -4), ((E1, -1),)
+        D = integer_terms(u2)[1] * integer_terms(w)[1]
+
+        def poke_ints(*args):
+            grid = band(*args)
+            row = grid.setdefault(cell, {})
+            row[word] = row.get(word, 0) + 1
+            return grid
+
+        def poke_vectors(grid):
+            grid[cell] = grid.get(cell, FockVector()) + FockVector.word(word, Fraction(1, D))
+
+        monkeypatch.setattr(vertex, "_iterate_band", poke_ints)
+        report = check_weak_associativity(SPACE, u1, u2, w, box)
+        monkeypatch.setattr(vertex, "_iterate_band", band)
+        assert report == _weak_report_by_vectors(SPACE, u1, u2, w, box, poke_vectors)
+        assert report["status"] == "fail" and report["mismatches"]
+        statuses["fail"] = statuses.get("fail", 0) + 1
+    assert statuses["pass"] >= 40 and statuses["inconclusive"] and statuses["fail"], statuses
