@@ -2,7 +2,9 @@
 
 from .delta import (
     DeltaCoeffs,
+    check_contraction_numbers,
     check_exp_delta_neg_comm,
+    check_exp_delta_routes,
     delta_apply,
     exp_delta,
     t_number,
@@ -25,7 +27,7 @@ from .fock import (
 from .laurent import Box, LaurentPoly, iota_expand
 from .ratfun import RationalFunction, f_mn
 from .scalars import Rational, binom
-from .straightening import defect, pbw_normal_form
+from .straightening import check_confluence, defect, pbw_normal_form
 from .vertex import (
     WindowedSeries,
     check_axioms,
@@ -40,6 +42,7 @@ from .vertex import (
 from .wick import (
     Factor,
     NOExpr,
+    check_closed_forms,
     contraction_det,
     correlation,
     noexpr_apply,

@@ -17,19 +17,18 @@ from typing import List, Sequence, Tuple
 
 from .delta import (
     DeltaCoeffs,
+    check_contraction_numbers,
     check_exp_delta_neg_comm,
-    delta_power_over_factorial,
+    check_exp_delta_routes,
     exp_delta,
-    t_number,
-    t_number_alt,
-    t_number_pairings,
+    exp_delta_iterated,
 )
-from .fock import FockVector, HSpace, Word, random_state, random_word, word_str
+from .fock import FockVector, HSpace, Word, random_state, random_word
 from .laurent import Box
 from .scalars import format_rational, parse_rational
-from .straightening import defect, pbw_normal_form
-from .vertex import check_axioms, check_weak_associativity, iterate_series, product_series
-from .wick import correlation, noexpr_apply, wick_iterate, wick_product
+from .straightening import K, check_confluence, defect
+from .vertex import check_axioms, check_weak_associativity
+from .wick import check_closed_forms, correlation
 
 
 class UsageError(Exception):
@@ -136,6 +135,16 @@ def parse_insertion(space: HSpace, text: str) -> Tuple[Word, Fraction, str]:
     return word, coeff, var
 
 
+def _parse_insertions(space: HSpace, texts: Sequence[str]):
+    """The (word, var) insertions and the product of their coefficients."""
+    insertions, scale = [], Fraction(1)
+    for text in texts:
+        word, coeff, var = parse_insertion(space, text)
+        scale *= coeff
+        insertions.append((word, var))
+    return insertions, scale
+
+
 def _parse_window(text: str, count: int) -> Tuple[Tuple[int, int], ...]:
     try:
         nums = [int(x) for x in text.split(",")]
@@ -154,18 +163,24 @@ def _parse_window(text: str, count: int) -> Tuple[Tuple[int, int], ...]:
 
 
 class Reporter:
-    """Counts record statuses; `inconclusive` (nothing nonzero compared)
-    is neither a pass nor a failure."""
+    """Prints check reports as JSON records and counts their statuses;
+    `inconclusive` (nothing nonzero compared) is neither a pass nor a failure."""
 
     def __init__(self, json_only: bool):
         self.json_only = json_only
         self.counts = {"pass": 0, "inconclusive": 0, "fail": 0}
 
-    def emit(self, record: dict):
+    def emit(self, suite: str, report: dict, identity: str | None = None):
+        record = {
+            "suite": suite,
+            "identity": identity or report["identity"],
+            "status": report["status"],
+            "compared": report["compared"],
+            "nonzero": report["nonzero"],
+            "counterexample": report["mismatches"][:1],
+        }
         print(json.dumps(record, sort_keys=True))
-        status = record.get("status")
-        if status in self.counts:
-            self.counts[status] += 1
+        self.counts[report["status"]] += 1
 
     def summary(self):
         c = self.counts
@@ -177,23 +192,14 @@ class Reporter:
         return 1 if c["fail"] else 0
 
 
-# -- suites --------------------------------------------------------------------
+# -- suites: seeded sampling, one library check per report ---------------------
 
 
 def _suite_axioms(rep, space, rng, max_weight2, window):
     samples = [random_state(rng, space, max_weight2) for _ in range(8)]
     lo, hi = window[0]
-    report = check_axioms(space, samples, lo, hi)
-    for name, res in report.items():
-        if isinstance(res, dict):
-            rep.emit(
-                {
-                    "suite": "axioms",
-                    "identity": name,
-                    "status": res["status"],
-                    "counterexample": res["failures"][:1],
-                }
-            )
+    for report in check_axioms(space, samples, lo, hi):
+        rep.emit("axioms", report)
 
 
 def _word_with_length(rng, space, r, max_m=2):
@@ -207,112 +213,42 @@ def _suite_wick(rep, space, rng, max_weight2, window, rmax, smax):
             u1 = _word_with_length(rng, space, r)
             u2 = _word_with_length(rng, space, s)
             v = random_state(rng, space, max_weight2)
-            series = product_series(space, FockVector.word(u1), FockVector.word(u2), v, box)
-            closed = noexpr_apply(space, wick_product(space, u1, u2), v, ("x", "y"), box.intervals)
-            bad = [
-                cell
-                for cell in box.cells()
-                if series.coefficient(cell) != closed.get(cell, FockVector())
-            ]
-            rep.emit(
-                {
-                    "suite": "wick",
-                    "identity": f"product_closed_form_r{r}_s{s}",
-                    "status": "pass" if not bad else "fail",
-                    "counterexample": bad[:1],
-                }
-            )
-            series = iterate_series(space, FockVector.word(u1), FockVector.word(u2), v, box)
-            closed = noexpr_apply(space, wick_iterate(space, u1, u2), v, ("x", "y"), box.intervals)
-            bad = [
-                cell
-                for cell in box.cells()
-                if series.coefficient(cell) != closed.get(cell, FockVector())
-            ]
-            rep.emit(
-                {
-                    "suite": "wick",
-                    "identity": f"iterate_closed_form_r{r}_s{s}",
-                    "status": "pass" if not bad else "fail",
-                    "counterexample": bad[:1],
-                }
-            )
+            for report in check_closed_forms(space, u1, u2, v, box):
+                rep.emit("wick", report, f"{report['identity']}_r{r}_s{s}")
     for trial in range(3):
         u1 = random_word(rng, space, max_weight2)
         u2 = FockVector.word(random_word(rng, space, max_weight2))
         w = random_state(rng, space, max_weight2)
-        res = check_weak_associativity(space, u1, u2, w, Box(("x0", "x2"), window))
-        rep.emit(
-            {
-                "suite": "wick",
-                "identity": f"weak_associativity_{trial}",
-                "status": res["status"],
-                "counterexample": res["mismatches"][:1],
-            }
-        )
+        report = check_weak_associativity(space, u1, u2, w, Box(("x0", "x2"), window))
+        rep.emit("wick", report, f"weak_associativity_{trial}")
 
 
 def _suite_delta(rep, space, coeffs, rng, max_weight2, window):
-    gens = [rng.randrange(space.dim) for _ in range(8)]
-    levels = [rng.randint(0, 3) for _ in range(8)]
-    bad = []
-    for size in (2, 4, 6, 8):
-        idx = tuple(sorted(rng.sample(range(8), size)))
-        a = t_number(space, coeffs, gens, levels, idx)
-        if a != t_number_alt(space, coeffs, gens, levels, idx) or a != t_number_pairings(
-            space, coeffs, gens, levels, idx
-        ):
-            bad.append(idx)
-    rep.emit(
-        {
-            "suite": "delta",
-            "identity": "contraction_number_routes",
-            "status": "pass" if not bad else "fail",
-            "counterexample": bad[:1],
-        }
-    )
-    bad = []
-    for _ in range(6):
-        word = _word_with_length(rng, space, rng.randint(0, 6), max_m=2)
-        v = FockVector.word(word)
-        closed = exp_delta(space, coeffs, v)
-        want = {}
-        for t in range(len(word) // 2 + 1):
-            for e, vecs in delta_power_over_factorial(space, coeffs, v, t).items():
-                cur = want.get(e, FockVector())
-                s = cur + vecs
-                if s:
-                    want[e] = s
-                else:
-                    want.pop(e, None)
-        if closed != want:
-            bad.append(word)
-    rep.emit(
-        {
-            "suite": "delta",
-            "identity": "exp_closed_vs_iterative",
-            "status": "pass" if not bad else "fail",
-            "counterexample": [word_str(space, w) for w in bad[:1]],
-        }
-    )
+    # 8 slots as 4 couples at shuffled positions, each couple with a nonzero
+    # pairing and the levels of a nonzero coefficient, so that the index sets
+    # (the first 1..4 couples) do not compare only zeros; an empty table does
+    keys = sorted(coeffs.entries) or [(0, 1)]
+    couples = []
+    for _ in range(4):
+        g = rng.randrange(space.dim)
+        h = rng.choice([k for k in range(space.dim) if space.pair(g, k)])
+        m, n = rng.choice(keys)
+        couples += [(g, m), (h, n)]
+    order = rng.sample(range(8), 8)
+    gens, levels = zip(*(slot for _, slot in sorted(zip(order, couples))))
+    index_sets = [tuple(sorted(order[: 2 * k])) for k in range(1, 5)]
+    rep.emit("delta", check_contraction_numbers(space, coeffs, gens, levels, index_sets))
+    words = [_word_with_length(rng, space, rng.randint(0, 6), max_m=2) for _ in range(6)]
+    rep.emit("delta", check_exp_delta_routes(space, coeffs, [FockVector.word(w) for w in words]))
     samples = [random_state(rng, space, max_weight2) for _ in range(4)]
     gen, m = rng.randrange(space.dim), rng.randint(0, 1)
-    res = check_exp_delta_neg_comm(space, coeffs, gen, m, samples, window)
-    rep.emit(
-        {
-            "suite": "delta",
-            "identity": "exp_negative_commutator",
-            "status": res["status"],
-            "counterexample": res["mismatches"][:1],
-        }
-    )
+    report = check_exp_delta_neg_comm(space, coeffs, gen, m, samples, window)
+    rep.emit("delta", report, "exp_negative_commutator")
 
 
 def _suite_pbw(rep, space, rng, trials=60):
-    from .straightening import K
-
-    bad = []
-    for trial in range(trials):
+    cases = []
+    for _ in range(trials):
         while True:
             n = rng.randint(2, 6)
             entries = []
@@ -324,18 +260,8 @@ def _suite_pbw(rep, space, rng, trials=60):
             word = tuple(entries)
             if 0 < defect(word) <= 4:
                 break
-        a = pbw_normal_form(space, word, random.Random(rng.randrange(1 << 30)))
-        b = pbw_normal_form(space, word, random.Random(rng.randrange(1 << 30)))
-        if a != b:
-            bad.append(word)
-    rep.emit(
-        {
-            "suite": "pbw",
-            "identity": "straightening_confluence",
-            "status": "pass" if not bad else "fail",
-            "counterexample": bad[:1],
-        }
-    )
+        cases.append((word, rng.randrange(1 << 30), rng.randrange(1 << 30)))
+    rep.emit("pbw", check_confluence(space, cases))
 
 
 def cmd_check(args) -> int:
@@ -370,12 +296,7 @@ def cmd_check(args) -> int:
 
 def cmd_correlate(args) -> int:
     space = load_config(args.config)[0]
-    scale = Fraction(1)
-    insertions = []
-    for text in args.insertions:
-        word, coeff, var = parse_insertion(space, text)
-        scale *= coeff
-        insertions.append((word, var))
+    insertions, scale = _parse_insertions(space, args.insertions)
     names = [v for _, v in insertions]
     if len(set(names)) != len(names):
         raise UsageError("insertion variables must be distinct")
@@ -388,12 +309,7 @@ def cmd_correlate(args) -> int:
 
 def cmd_expand(args) -> int:
     space = load_config(args.config)[0]
-    insertions = []
-    scale = Fraction(1)
-    for text in args.insertions:
-        word, coeff, var = parse_insertion(space, text)
-        scale *= coeff
-        insertions.append((word, var))
+    insertions, scale = _parse_insertions(space, args.insertions)
     order = [v.strip() for v in args.order.split(",")]
     if sorted(order) != sorted(v for _, v in insertions):
         raise UsageError("--order must list exactly the insertion variables")
@@ -414,17 +330,7 @@ def cmd_expdelta(args) -> int:
     space, coeffs = load_config(args.config)
     vec = parse_state(space, args.state)
     closed = exp_delta(space, coeffs, vec)
-    rmax = max((len(w) for w in vec.terms), default=0)
-    iterative = {}
-    for t in range(rmax // 2 + 1):
-        for e, w in delta_power_over_factorial(space, coeffs, vec, t).items():
-            cur = iterative.get(e, FockVector())
-            s = cur + w
-            if s:
-                iterative[e] = s
-            else:
-                iterative.pop(e, None)
-    agree = closed == iterative
+    agree = closed == exp_delta_iterated(space, coeffs, vec)
     for e in sorted(closed, reverse=True):
         print(json.dumps({"exponent": e, "state": closed[e].render(space)}))
     print(json.dumps({"closed_matches_iterative": agree}))

@@ -13,11 +13,12 @@ and a minor on 2t slots is divided by D^t once.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .fock import FockVector, HSpace, apply_mode
+from .fock import FockVector, HSpace, apply_mode, check_report
 from .pfaffian import pfaffian
 from .scalars import binom
 
@@ -72,6 +73,15 @@ class DeltaCoeffs:
         return isinstance(other, DeltaCoeffs) and self.entries == other.entries
 
 
+def _grid_add(grid: Dict, key, vec: FockVector) -> None:
+    """grid[key] += vec, dropping the key where the sum vanishes."""
+    s = grid.get(key, FockVector()) + vec
+    if s:
+        grid[key] = s
+    else:
+        grid.pop(key, None)
+
+
 def bracket(space: HSpace, C: DeltaCoeffs, g1: int, m1: int, g2: int, m2: int) -> Fraction:
     """Contraction scalar of two creation slots: (a, b) C_{m1 m2}."""
     c = C(m1, m2)
@@ -100,12 +110,7 @@ def delta_apply(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
                 sign = -1 if (p + q) & 1 else 1  # (-1)^((p+1)+(q+1))
                 exp = -np_ - nq - 1
                 reduced = word[:p] + word[p + 1 : q] + word[q + 1 :]
-                cur = out.get(exp, FockVector())
-                nxt = cur + FockVector.word(reduced, cw * coeff * sign)
-                if nxt:
-                    out[exp] = nxt
-                else:
-                    out.pop(exp, None)
+                _grid_add(out, exp, FockVector.word(reduced, cw * coeff * sign))
     return out
 
 
@@ -149,6 +154,14 @@ def t_number(
     return Fraction(pfaffian(kernel, [full], 1)[full], D ** (len(idx) // 2))
 
 
+def _bracket_matrix(space: HSpace, C: DeltaCoeffs, gens, levels, indices) -> list:
+    """The full bracket matrix of the slots at `indices`, for the oracles;
+    integral entries are plain ints, so integral sums stay in ints."""
+    slots = [(gens[i], levels[i]) for i in _check_indices(indices)]
+    matrix = [[bracket(space, C, *a, *b) for b in slots] for a in slots]
+    return [[int(x) if x.denominator == 1 else x for x in row] for row in matrix]
+
+
 def t_number_alt(
     space: HSpace,
     C: DeltaCoeffs,
@@ -156,25 +169,26 @@ def t_number_alt(
     levels: Sequence[int],
     indices: Sequence[int],
 ) -> Fraction:
-    """Same value through the all-pairs recursion with the 1/t average."""
-    idx = _check_indices(indices)
-    pairs = [(gens[i], levels[i]) for i in idx]
+    """Same value through the all-pairs recursion with the 1/t average; an
+    oracle for `t_number`.  The recursion is memoised on the slots left."""
+    br = _bracket_matrix(space, C, gens, levels, indices)
 
-    def rec(items: Tuple[Tuple[int, int], ...]) -> Fraction:
+    @cache
+    def rec(items: Tuple[int, ...]):
         if not items:
-            return Fraction(1)
-        t = len(items) // 2
-        total = Fraction(0)
+            return 1
+        total = 0
         for a in range(len(items)):
             for b_ in range(a + 1, len(items)):
-                br = bracket(space, C, items[a][0], items[a][1], items[b_][0], items[b_][1])
-                if br:
+                x = br[items[a]][items[b_]]
+                if x:
                     sign = 1 if (a + b_) & 1 else -1  # (-1)^(alpha+beta-1), 1-based
                     rest = items[:a] + items[a + 1 : b_] + items[b_ + 1 :]
-                    total += sign * br * rec(rest)
-        return total / t
+                    total += sign * x * rec(rest)
+        value = Fraction(total, len(items) // 2)
+        return value.numerator if value.denominator == 1 else value
 
-    return rec(tuple(pairs))
+    return Fraction(rec(tuple(range(len(br)))))
 
 
 def _matchings(positions: Tuple[int, ...]):
@@ -195,14 +209,14 @@ def t_number_pairings(
     levels: Sequence[int],
     indices: Sequence[int],
 ) -> Fraction:
-    """Same value as a sum over perfect matchings, -1 per edge crossing."""
-    idx = _check_indices(indices)
-    pairs = [(gens[i], levels[i]) for i in idx]
-    total = Fraction(0)
-    for matching in _matchings(tuple(range(len(pairs)))):
-        value = Fraction(1)
+    """Same value as a sum over perfect matchings, -1 per edge crossing; an
+    oracle for `t_number`."""
+    br = _bracket_matrix(space, C, gens, levels, indices)
+    total = 0
+    for matching in _matchings(tuple(range(len(br)))):
+        value = 1
         for a, b_ in matching:
-            value *= bracket(space, C, pairs[a][0], pairs[a][1], pairs[b_][0], pairs[b_][1])
+            value *= br[a][b_]
             if not value:
                 break
         if not value:
@@ -215,28 +229,17 @@ def t_number_pairings(
                 if (a < c < b_ < d) or (c < a < d < b_):
                     crossings += 1
         total += value * (-1 if crossings & 1 else 1)
-    return total
+    return Fraction(total)
 
 
 def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
     """Closed-form exponential: delete 2t positions, weight by the total
     contraction number and (-1)^(sum of 1-based positions)."""
     out: ExpGrid = {}
-
-    def add(exp: int, v: FockVector):
-        if not v:
-            return
-        cur = out.get(exp, FockVector())
-        nxt = cur + v
-        if nxt:
-            out[exp] = nxt
-        else:
-            out.pop(exp, None)
-
     for word, cw in vec.terms.items():
         r = len(word)
         levels = [-l - 1 for _, l in word]
-        add(0, FockVector.word(word, cw))
+        _grid_add(out, 0, FockVector.word(word, cw))
         # every deleted set is a principal minor of one bracket Pfaffian
         deleted = [
             (idx, sum(1 << i for i in idx))
@@ -252,7 +255,7 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
             sign = -1 if (sum(idx) + len(idx)) & 1 else 1  # 1-based position sum
             exp = -sum(levels[i] for i in idx) - len(idx) // 2
             keep = tuple(word[i] for i in range(r) if i not in idx)
-            add(exp, FockVector.word(keep, cw * tval * sign))
+            _grid_add(out, exp, FockVector.word(keep, cw * tval * sign))
     return out
 
 
@@ -264,15 +267,57 @@ def delta_power_over_factorial(space: HSpace, C: DeltaCoeffs, vec: FockVector, t
         nxt: ExpGrid = {}
         for e, v in grid.items():
             for e2, v2 in delta_apply(space, C, v).items():
-                cur = nxt.get(e + e2, FockVector())
-                s = cur + v2
-                if s:
-                    nxt[e + e2] = s
-                else:
-                    nxt.pop(e + e2, None)
+                _grid_add(nxt, e + e2, v2)
         grid = nxt
         fact *= step
     return {e: v.scale(Fraction(1, fact)) for e, v in grid.items() if v}
+
+
+def exp_delta_iterated(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
+    """Oracle route of `exp_delta`: the sum over t of the iterated powers
+    over t!, up to half the longest word (each step deletes a pair)."""
+    out: ExpGrid = {}
+    rmax = max((len(w) for w in vec.terms), default=0)
+    for t in range(rmax // 2 + 1):
+        for e, w in delta_power_over_factorial(space, C, vec, t).items():
+            _grid_add(out, e, w)
+    return out
+
+
+def check_contraction_numbers(
+    space: HSpace,
+    C: DeltaCoeffs,
+    gens: Sequence[int],
+    levels: Sequence[int],
+    index_sets: Sequence[Sequence[int]],
+) -> dict:
+    """`t_number` against its two oracle routes on each index set; a set
+    counts toward `nonzero` when some route gives a nonzero value."""
+    mismatches = []
+    nonzero = 0
+    for idx in index_sets:
+        routes = (t_number, t_number_alt, t_number_pairings)
+        values = {route(space, C, gens, levels, idx) for route in routes}
+        nonzero += any(values)
+        if len(values) > 1:
+            mismatches.append(tuple(idx))
+    return check_report("contraction_number_routes", mismatches, len(index_sets), nonzero)
+
+
+def check_exp_delta_routes(space: HSpace, C: DeltaCoeffs, samples: Sequence[FockVector]) -> dict:
+    """`exp_delta` against `exp_delta_iterated` on each sample.  Every
+    deleted pair lowers the exponent below 0, so a sample counts toward
+    `nonzero` only when a deletion survives on either side; the t = 0 term
+    at exponent 0 agrees by construction."""
+    mismatches = []
+    nonzero = 0
+    for v in samples:
+        closed = exp_delta(space, C, v)
+        iterated = exp_delta_iterated(space, C, v)
+        nonzero += bool((closed.keys() | iterated.keys()) - {0})
+        if closed != iterated:
+            mismatches.append(v.render(space))
+    return check_report("exp_closed_vs_iterative", mismatches, len(samples), nonzero)
 
 
 def check_exp_delta_neg_comm(
@@ -284,8 +329,8 @@ def check_exp_delta_neg_comm(
     intervals: Tuple[Tuple[int, int], Tuple[int, int]],
 ) -> dict:
     """Verify the commutator of the exponential with a regular one-sided
-    series: both sides as exact grids over (x, y) on the given box.  A box
-    where both sides vanish everywhere compares nothing: `inconclusive`."""
+    series: both sides as exact grids over (x, y) on the given box, per
+    sample.  `nonzero` counts the cells where either side is nonzero."""
     (lox, hix), (loy, hiy) = intervals
     mismatches = []
     nonzero = 0
@@ -294,16 +339,8 @@ def check_exp_delta_neg_comm(
         rhs: Dict[Tuple[int, int], FockVector] = {}
 
         def add(table, ex, ey, vec, coeff):
-            if not vec or not coeff:
-                return
-            if not (lox <= ex <= hix and loy <= ey <= hiy):
-                return
-            cur = table.get((ex, ey), FockVector())
-            s = cur + vec.scale(coeff)
-            if s:
-                table[(ex, ey)] = s
-            else:
-                table.pop((ex, ey), None)
+            if vec and coeff and lox <= ex <= hix and loy <= ey <= hiy:
+                _grid_add(table, (ex, ey), vec.scale(coeff))
 
         exp_v = exp_delta(space, C, v)
         # exp(D(y)) a^(m)(x)^- v  minus  a^(m)(x)^- exp(D(y)) v
@@ -323,14 +360,12 @@ def check_exp_delta_neg_comm(
                 continue
             for ey, w in exp_v.items():
                 add(rhs, alpha - m, ey - beta - alpha - 1, apply_mode(space, (gen, beta), w), cba * cb)
-        nonzero += len(lhs) + len(rhs)
-        for cell in set(lhs) | set(rhs):
+        cells = set(lhs) | set(rhs)
+        nonzero += len(cells)
+        for cell in cells:
             if lhs.get(cell, FockVector()) != rhs.get(cell, FockVector()):
                 mismatches.append((si, cell))
-    return {
-        "identity": "exp_delta_negative_commutator",
-        "status": "fail" if mismatches else "pass" if nonzero else "inconclusive",
-        "window": intervals,
-        "nonzero_cells": nonzero,
-        "mismatches": mismatches,
-    }
+    compared = len(samples) * (hix - lox + 1) * (hiy - loy + 1)
+    return check_report(
+        "exp_delta_negative_commutator", mismatches, compared, nonzero, window=intervals
+    )

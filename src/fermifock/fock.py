@@ -81,14 +81,6 @@ class HSpace:
         return f"HSpace(M={self.M})"
 
 
-def is_creation(mode: Mode) -> bool:
-    return mode[1] < 0
-
-
-def mode_weight2(mode: Mode) -> int:
-    return -2 * mode[1] - 1
-
-
 def weight2(word: Word) -> int:
     """Doubled weight: sum of m_i plus r/2, for levels -m_i - 1."""
     return sum(-2 * level - 1 for _, level in word)
@@ -167,18 +159,6 @@ class FockVector:
     def items(self):
         """Terms in canonical order: word length first, then (gen, level) lex."""
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def max_level(self) -> int:
-        """Largest creation depth -level-1 present; -1 for multiples of the vacuum."""
-        best = -1
-        for w in self.terms:
-            for _, level in w:
-                if -level - 1 > best:
-                    best = -level - 1
-        return best
-
-    def is_homogeneous(self) -> bool:
-        return len({weight2(w) for w in self.terms}) <= 1
 
     def render(self, space: HSpace) -> str:
         if not self.terms:
@@ -267,6 +247,23 @@ def d_op(vec: FockVector) -> FockVector:
 def grading_op(vec: FockVector) -> FockVector:
     """Scale each word by its weight."""
     return FockVector({w: c * Fraction(weight2(w), 2) for w, c in vec.terms.items()})
+
+
+def check_report(identity: str, mismatches: Sequence, compared: int, nonzero: int, **extra) -> dict:
+    """The report of an identity check, with its one status rule: `fail`
+    on any mismatch, else `pass` if some compared value was nonzero, else
+    `inconclusive` (the check compared nothing but zeros).  `compared`
+    counts the comparisons made and `nonzero` those with a nonzero side;
+    `extra` adds check-specific keys."""
+    status = "fail" if mismatches else "pass" if nonzero else "inconclusive"
+    return {
+        "identity": identity,
+        "status": status,
+        "compared": compared,
+        "nonzero": nonzero,
+        "mismatches": list(mismatches),
+        **extra,
+    }
 
 
 def random_word(rng: random.Random, space: HSpace, max_weight2: int) -> Word:

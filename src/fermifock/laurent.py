@@ -8,6 +8,7 @@ alongside (see Box); consumers must stay inside it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Dict, Iterable, Tuple
 
 from .scalars import binom
@@ -34,24 +35,7 @@ class Box:
 
     def cells(self):
         """Iterate all cells of the box in lexicographic order."""
-
-        def rec(prefix, idx):
-            if idx == len(self.intervals):
-                yield tuple(prefix)
-                return
-            lo, hi = self.intervals[idx]
-            for e in range(lo, hi + 1):
-                prefix.append(e)
-                yield from rec(prefix, idx + 1)
-                prefix.pop()
-
-        yield from rec([], 0)
-
-    def intersect(self, other: "Box") -> "Box":
-        if self.vars != other.vars:
-            raise ValueError("boxes over different variables")
-        ivs = [(max(a, c), min(b, d)) for (a, b), (c, d) in zip(self.intervals, other.intervals)]
-        return Box(self.vars, ivs)
+        return product(*(range(lo, hi + 1) for lo, hi in self.intervals))
 
     def __eq__(self, other):
         return isinstance(other, Box) and self.vars == other.vars and self.intervals == other.intervals
@@ -126,11 +110,6 @@ class LaurentPoly:
                 else:
                     out.pop(cell, None)
         return LaurentPoly(self.vars, out)
-
-    def crop(self, box: Box) -> "LaurentPoly":
-        if box.vars != self.vars:
-            raise ValueError("variable mismatch")
-        return LaurentPoly(self.vars, {c: v for c, v in self.coeffs.items() if box.contains(c)})
 
     def items(self):
         return sorted(self.coeffs.items())

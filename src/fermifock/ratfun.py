@@ -392,6 +392,8 @@ class RationalFunction:
 
         A difference factor whose two variables map to the same name would
         vanish identically; that is rejected rather than divided by zero.
+        Nothing in the library renames variables; this is an oracle route,
+        whose merged-variable results tests feed back through the arithmetic.
         """
         new_names = [mapping.get(v, v) for v in self.vars]
         variables = tuple(sorted(set(new_names), key=_var_key))
@@ -437,11 +439,6 @@ class RationalFunction:
                 if e:
                     fixed[v] = e
             yield c * scale, fixed, list(diffs)
-
-    def monomial_summands(self):
-        """`integer_summands` with each coefficient as its exact Fraction."""
-        for c, fixed, diffs in self.integer_summands():
-            yield Fraction(c, self.int_den), fixed, diffs
 
     def expand_region(self, order: Iterable[str], box_intervals) -> LaurentPoly:
         """Exact Laurent table in the region |o1| > |o2| > ..., on a box.

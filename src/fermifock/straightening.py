@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .fock import HSpace
+from .fock import HSpace, check_report
 
 K = "k"
 Entry = Union[str, Tuple[int, int]]  # K or (gen, level)
@@ -108,3 +108,18 @@ def pbw_normal_form(
             else:
                 pending.pop(w2, None)
     return done
+
+
+def check_confluence(space: HSpace, cases: Sequence[Tuple[TensorWord, int, int]]) -> dict:
+    """Straighten each word under two redex orders, randomized by the two
+    seeds of its case, and compare the normal forms; a word counts toward
+    `nonzero` when either normal form is nonzero."""
+    mismatches = []
+    nonzero = 0
+    for word, seed_a, seed_b in cases:
+        a = pbw_normal_form(space, word, random.Random(seed_a))
+        b = pbw_normal_form(space, word, random.Random(seed_b))
+        nonzero += bool(a or b)
+        if a != b:
+            mismatches.append(word)
+    return check_report("straightening_confluence", mismatches, len(cases), nonzero)

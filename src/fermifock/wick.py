@@ -29,11 +29,12 @@ from itertools import combinations
 from math import lcm
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .fock import FockVector, HSpace, Word
+from .fock import FockVector, HSpace, Word, check_report
+from .laurent import Box
 from .pfaffian import det, pfaffian
 from .ratfun import RationalFunction, f_mn, region_cells
 from .scalars import binom
-from .vertex import Cell, integer_terms, series_into, wrap_table
+from .vertex import Cell, integer_terms, iterate_series, product_series, series_into, wrap_table
 
 
 class Factor(NamedTuple):
@@ -97,7 +98,8 @@ def contraction_det(
     cols: Sequence[Tuple[int, int, str]],
 ) -> RationalFunction:
     """det[(a_i, b_j) f_{m_i n_j}(x_i, y_j)] for rows (a, m, x), cols (b, n, y):
-    (-1)^(n(n-1)/2) times the Pfaffian of the kernel joining item i to n + j."""
+    (-1)^(n(n-1)/2) times the Pfaffian of the kernel joining item i to n + j.
+    Part of the distinct-variable oracle for the closed forms."""
     n = len(rows)
     if n != len(cols) or not n:
         raise ValueError("contraction determinant needs a nonempty square block")
@@ -134,7 +136,8 @@ def wick_fuse(space: HSpace, A: Sequence[Factor], B: Sequence[Factor]) -> NOExpr
 
 
 def noexpr_mul(space: HSpace, left: NOExpr, right: NOExpr) -> NOExpr:
-    """Bilinear extension of the fuse expansion to sums of terms."""
+    """Bilinear extension of the fuse expansion to sums of terms; the fold
+    oracle for `correlation`."""
     out = []
     for c1, f1 in left.terms:
         for c2, f2 in right.terms:
@@ -176,6 +179,30 @@ def wick_iterate(space: HSpace, u1: Word, u2: Word) -> NOExpr:
         RationalFunction.from_scalar(1, ("x",)),
         lambda d, k: RationalFunction.monomial(("x",), {"x": -k}, d),
     )
+
+
+def check_closed_forms(space: HSpace, u1: Word, u2: Word, v: FockVector, box: Box) -> List[dict]:
+    """The closed product and iterate forms against the series engines on
+    every cell of an (x, y) box: the reports `product_closed_form` and
+    `iterate_closed_form`, each counting the cells with a nonzero side."""
+    reports = []
+    for name, series_route, closed_form in (
+        ("product_closed_form", product_series, wick_product),
+        ("iterate_closed_form", iterate_series, wick_iterate),
+    ):
+        series = series_route(space, FockVector.word(u1), FockVector.word(u2), v, box)
+        closed = noexpr_apply(space, closed_form(space, u1, u2), v, ("x", "y"), box.intervals)
+        mismatches = []
+        compared = nonzero = 0
+        for cell in box.cells():
+            want = series.coefficient(cell)
+            got = closed.get(cell, FockVector())
+            compared += 1
+            nonzero += bool(want or got)
+            if want != got:
+                mismatches.append(cell)
+        reports.append(check_report(name, mismatches, compared, nonzero))
+    return reports
 
 
 def vacuum_expectation(expr: NOExpr) -> RationalFunction:

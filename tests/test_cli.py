@@ -221,3 +221,48 @@ def test_cli_check_refuses_config_without_generators(suite, tmp_path, capsys):
     assert main(["--config", str(cfg), "--json", "check", "--suite", suite]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error:")
+
+
+def _records(text):
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def test_cli_check_wick_far_window_is_inconclusive(capsys):
+    argv = ["--json", "check", "--suite", "wick", "--window=-40,-39"]
+    assert main(argv + ["--max-weight", "1", "--r", "1", "--s", "1", "--seed", "0"]) == 0
+    records = _records(capsys.readouterr().out)
+    assert len(records) == 11
+    for r in records:
+        assert r["status"] == "inconclusive" and r["nonzero"] == 0 and r["compared"] == 4, r
+
+
+def test_cli_check_axioms_window_without_zero_is_inconclusive(capsys):
+    assert main(["--json", "check", "--suite", "axioms", "--max-weight", "1", "--window=40,41"]) == 0
+    statuses = {r["identity"]: r["status"] for r in _records(capsys.readouterr().out)}
+    assert statuses["identity"] == statuses["creation"] == "inconclusive"
+
+
+def test_cli_check_delta_contraction_numbers_are_conclusive(capsys):
+    for seed in range(20):
+        assert main(["--json", "check", "--suite", "delta", "--seed", str(seed)]) == 0
+        records = {r["identity"]: r for r in _records(capsys.readouterr().out)}
+        assert records["contraction_number_routes"]["status"] == "pass", (seed, records)
+
+
+def test_cli_check_records_carry_counts(capsys):
+    assert main(["--json", "check", "--suite", "all", "--seed", "1", "--max-weight", "1",
+                 "--r", "1", "--s", "1", "--window=-3,3"]) == 0
+    keys = {"suite", "identity", "status", "compared", "nonzero", "counterexample"}
+    for r in _records(capsys.readouterr().out):
+        assert set(r) == keys and 0 <= r["nonzero"] <= r["compared"], r
+
+
+@pytest.mark.parametrize("suite", ["axioms", "wick", "delta", "pbw"])
+@pytest.mark.parametrize("window", ["-3,-2", "-40,-39", "40,41"])
+def test_cli_check_far_windows_keep_the_exit_contract(suite, window):
+    proc = run_cli(["--json", "check", "--suite", suite, "--seed", "11", "--window=" + window,
+                    "--r", "1", "--s", "1", "--max-weight", "1"])
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if suite == "axioms":
+        assert proc.returncode == 0, proc.stdout

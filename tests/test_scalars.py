@@ -141,6 +141,11 @@ def test_expand_region_chain_product():
     assert table == LaurentPoly(("z1", "z2", "z3"), expected)
 
 
+def _crop(poly, box):
+    """The cells of a LaurentPoly inside a box."""
+    return LaurentPoly(poly.vars, {c: v for c, v in poly.coeffs.items() if box.contains(c)})
+
+
 def test_expand_region_is_ring_morphism_on_window():
     f = RationalFunction.diff_inverse("x", "y", 1)
     g = RationalFunction.diff_inverse("x", "y", 2, 3)
@@ -152,7 +157,7 @@ def test_expand_region_is_ring_morphism_on_window():
     # product only need degree-<=4 cells of the factors
     prod_table = (f * g).expand_region(order, box)
     conv = f.expand_region(order, ((-20, 0), (0, 4))) * g.expand_region(order, ((-20, 0), (0, 4)))
-    assert prod_table == conv.crop(Box(order, box))
+    assert prod_table == _crop(conv, Box(order, box))
 
 
 def test_substitute_merges_variables():

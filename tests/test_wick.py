@@ -170,7 +170,9 @@ def test_closed_forms_match_series_under_rational_gram():
         for series_of, closed_of in cases:
             expr = closed_of(space, u1, u2)
             rational_kernels += any(
-                c.denominator > 1 for rf, _ in expr.terms for c, _, _ in rf.monomial_summands()
+                Fraction(c, rf.int_den).denominator > 1
+                for rf, _ in expr.terms
+                for c, _, _ in rf.integer_summands()
             )
             series = series_of(space, FockVector.word(u1), FockVector.word(u2), v, box)
             closed = noexpr_apply(space, expr, v, ("x", "y"), box.intervals)
