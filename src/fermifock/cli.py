@@ -64,6 +64,13 @@ def load_config(path: str | None) -> Tuple[HSpace, DeltaCoeffs]:
 
 # -- state expressions ---------------------------------------------------------
 
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as e:
+        raise UsageError(str(e))
+
+
 _TOKEN = re.compile(r"\|0>|[ef]\d+|-?\d+/\d+|-?\d+|[()*+]")
 
 
@@ -90,7 +97,7 @@ def parse_state(space: HSpace, text: str) -> FockVector:
         coeff = Fraction(1)
         tok = peek()
         if tok is not None and re.fullmatch(r"-?\d+(/\d+)?", tok):
-            coeff = parse_rational(take())
+            coeff = _rational(take())
             if peek() == "*":
                 take()
         modes: List[Tuple[int, int]] = []
@@ -105,7 +112,7 @@ def parse_state(space: HSpace, text: str) -> FockVector:
             num = take()
             if num is None or not re.fullmatch(r"-?\d+/\d+|-?\d+", num):
                 raise UsageError(f"bad mode level after {name}")
-            level_frac = parse_rational(num)
+            level_frac = _rational(num)
             if take() != ")":
                 raise UsageError("expected ')' after mode level")
             n = level_frac - Fraction(1, 2)
@@ -223,23 +230,35 @@ def _suite_wick(rep, space, rng, max_weight2, window, rmax, smax):
         rep.emit("wick", report, f"weak_associativity_{trial}")
 
 
-def _suite_delta(rep, space, coeffs, rng, max_weight2, window):
-    # 8 slots as 4 couples at shuffled positions, each couple with a nonzero
-    # pairing and the levels of a nonzero coefficient, so that the index sets
-    # (the first 1..4 couples) do not compare only zeros; an empty table does
-    keys = sorted(coeffs.entries) or [(0, 1)]
-    couples = []
-    for _ in range(4):
+def _couples(rng, space, keys, count):
+    """`count` couples of (generator, level) slots, each couple with a
+    nonzero pairing and the levels of a nonzero coefficient C_mn."""
+    slots = []
+    for _ in range(count):
         g = rng.randrange(space.dim)
         h = rng.choice([k for k in range(space.dim) if space.pair(g, k)])
         m, n = rng.choice(keys)
-        couples += [(g, m), (h, n)]
+        slots += [(g, m), (h, n)]
+    return slots
+
+
+def _suite_delta(rep, space, coeffs, rng, max_weight2, window):
+    # slots are drawn as couples (an empty table draws the default's levels),
+    # so that neither check compares only zeros: 8 slots as 4 couples at
+    # shuffled positions, index sets the first 1..4 couples; then 3 words of
+    # 1-2 couples each, whose exponentials delete at least one pair
+    keys = sorted(coeffs.entries) or [(0, 1)]
+    couples = _couples(rng, space, keys, 4)
     order = rng.sample(range(8), 8)
     gens, levels = zip(*(slot for _, slot in sorted(zip(order, couples))))
     index_sets = [tuple(sorted(order[: 2 * k])) for k in range(1, 5)]
     rep.emit("delta", check_contraction_numbers(space, coeffs, gens, levels, index_sets))
-    words = [_word_with_length(rng, space, rng.randint(0, 6), max_m=2) for _ in range(6)]
-    rep.emit("delta", check_exp_delta_routes(space, coeffs, [FockVector.word(w) for w in words]))
+    words = []
+    for _ in range(3):
+        slots = _couples(rng, space, keys, rng.randint(1, 2))
+        rng.shuffle(slots)
+        words.append(FockVector.word(tuple((g, -m - 1) for g, m in slots)))
+    rep.emit("delta", check_exp_delta_routes(space, coeffs, words))
     samples = [random_state(rng, space, max_weight2) for _ in range(4)]
     gen, m = rng.randrange(space.dim), rng.randint(0, 1)
     report = check_exp_delta_neg_comm(space, coeffs, gen, m, samples, window)

@@ -42,8 +42,12 @@ def binom(n: int, m: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p', 'p/q' or a decimal-free signed integer string exactly."""
-    return Fraction(text.strip())
+    """Parse 'p', 'p/q' or a decimal-free signed integer string exactly;
+    a zero denominator is a ValueError, like any other malformed text."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -317,13 +317,9 @@ class WindowedSeries:
         )
 
 
-def _word_factors(word: Word, var: int = 0) -> Tuple[Factor, ...]:
-    return tuple((g, -level - 1, var) for g, level in word)
-
-
 def _sources(u_terms: Dict[Word, int]) -> List[Tuple[Tuple[Factor, ...], int]]:
     """The series_into sources of a state: one factor list per word."""
-    return [(_word_factors(word), c) for word, c in u_terms.items()]
+    return [(tuple((g, -level - 1, 0) for g, level in word), c) for word, c in u_terms.items()]
 
 
 def _as_vector(u) -> FockVector:
@@ -348,59 +344,58 @@ def y_coeff(space: HSpace, u, k: int, v) -> FockVector:
 
 def product_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
     """Coefficients of x^k1 y^k2 in the two-operator product acting on v."""
-    (lo1, hi1), (lo2, hi2) = box.intervals
-    inner = y_series(space, u2, v, lo2, hi2)
-    acc: Dict[Cell, FockVector] = {}
-    for (k2,), w in inner.coeffs.items():
-        outer = y_series(space, u1, w, lo1, hi1)
-        for (k1,), vec in outer.coeffs.items():
-            acc[(k1, k2)] = vec
-    return WindowedSeries(box, acc)
+    (t1, D1), (t2, D2), (tv, Dv) = (integer_terms(_as_vector(s)) for s in (u1, u2, v))
+    outer, inner = box.intervals
+    grid = _product_grid(space, t1, t2, tv, inner, lambda k2: outer)
+    return WindowedSeries(box, wrap_table(grid, D1 * D2 * Dv))
 
 
 def iterate_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
     """Coefficients of x0^k1 x2^k2 of the iterated vertex operator on v."""
-    (lo1, hi1), (lo2, hi2) = box.intervals
-    inner = y_series(space, u1, _as_vector(u2), lo1, hi1)
-    acc: Dict[Cell, FockVector] = {}
-    for (k1,), a in inner.coeffs.items():
-        outer = y_series(space, a, v, lo2, hi2)
-        for (k2,), vec in outer.coeffs.items():
-            acc[(k1, k2)] = vec
-    return WindowedSeries(box, acc)
+    (t1, D1), (t2, D2), (tv, Dv) = (integer_terms(_as_vector(s)) for s in (u1, u2, v))
+    inner, outer = box.intervals
+    grid = _iterate_grid(space, t1, t2, tv, inner, lambda k1: outer)
+    return WindowedSeries(box, wrap_table(grid, D1 * D2 * Dv))
+
+
+def _product_grid(
+    space: HSpace, u1_terms, u2_terms, v_terms, inner, outer_window
+) -> Dict[Cell, Dict[Word, int]]:
+    """Int grid c[k1, k2] of Y(u1, x) Y(u2, y) v over the denominators of
+    the three term maps: u2 acts on v over the inner y interval, then u1
+    on each nonzero column k2 over the x interval outer_window(k2)."""
+    u1, cols, grid = _sources(u1_terms), {}, {}
+    series_into(space, _sources(u2_terms), v_terms, (inner,), cols)
+    for (k2,), col in cols.items():
+        lo, hi = outer_window(k2)
+        if col and lo <= hi:
+            rows: Dict[Cell, Dict[Word, int]] = {}
+            series_into(space, u1, col, ((lo, hi),), rows)
+            grid.update(((k1, k2), row) for (k1,), row in rows.items())
+    return grid
+
+
+def _iterate_grid(
+    space: HSpace, u1_terms, u2_terms, v_terms, inner, outer_window
+) -> Dict[Cell, Dict[Word, int]]:
+    """Int grid d[k1, k2] of Y(Y(u1, x0) u2, x2) v over the denominators
+    of the three term maps: u1 acts on u2 over the inner x0 interval, then
+    each nonzero state of row k1 on v over the x2 interval outer_window(k1)."""
+    states, grid = {}, {}
+    series_into(space, _sources(u1_terms), u2_terms, (inner,), states)
+    for (k1,), a in states.items():
+        lo, hi = outer_window(k1)
+        if a and lo <= hi:
+            rows: Dict[Cell, Dict[Word, int]] = {}
+            series_into(space, _sources(a), v_terms, ((lo, hi),), rows)
+            grid.update(((k1, k2), row) for (k2,), row in rows.items())
+    return grid
 
 
 def _wt2_max(v: FockVector) -> int:
     if not v.terms:
         return 0
     return max(weight2(w) for w in v.terms)
-
-
-def _iterate_band(
-    space: HSpace,
-    u1_word: Word,
-    u2_terms: Dict[Word, int],
-    w_terms: Dict[Word, int],
-    box: Box,
-    P: int,
-) -> Dict[Tuple[int, int], Dict[Word, int]]:
-    """Iterate grid d[k1, k2] on the cells the weak-associativity comparison
-    reads: d[j1 - P + i, j2 - i] for 0 <= i <= P and (j1, j2) in the box.
-
-    Row k1 is needed only for k2 in [lo2 - min(P, k1-lo1+P), hi2 - max(0, k1-hi1+P)].
-    The inner states of every k1 come from one series call; the grid holds
-    int tables over the product of the denominators of u2_terms and w_terms.
-    """
-    (lo1, hi1), (lo2, hi2) = box.intervals
-    inner: Dict[Cell, Dict[Word, int]] = {}
-    series_into(space, ((_word_factors(u1_word), 1),), u2_terms, ((lo1 - P, hi1),), inner)
-    grid: Dict[Tuple[int, int], Dict[Word, int]] = {}
-    for (k1,), a in inner.items():
-        rows: Dict[Cell, Dict[Word, int]] = {}
-        band = ((lo2 - min(P, k1 - lo1 + P), hi2 - max(0, k1 - hi1 + P)),)
-        series_into(space, _sources(a), w_terms, band, rows)
-        grid.update(((k1, k2), row) for (k2,), row in rows.items())
-    return grid
 
 
 def _binomial_fold(rows) -> Dict[Word, int]:
@@ -423,7 +418,7 @@ def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> d
     """
     u2 = _as_vector(u2)
     w = _as_vector(w)
-    u1 = ((_word_factors(u1_word), 1),)
+    u1 = {tuple(u1_word): 1}
     r = len(u1_word)
     msum = sum(-level - 1 for _, level in u1_word)
     P = (_wt2_max(w) + 2 * msum + 2 * r) // 2
@@ -432,21 +427,17 @@ def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> d
     (lo1, hi1), (lo2, hi2) = box.intervals
     u2_terms, _ = integer_terms(u2)
     w_terms, _ = integer_terms(w)
-
-    # product grid c[k1, k2]: only the diagonal band k1 = j1 + j2 - P - k2
-    # with j1, j2 in the window and j2 >= k2 is ever read
-    cols: Dict[Cell, Dict[Word, int]] = {}
-    series_into(space, _sources(u2_terms), w_terms, ((t2min, hi2),), cols)
-    prod_grid: Dict[Tuple[int, int], Dict[Word, int]] = {}
-    for (k2,), col in cols.items():
-        k1_lo = lo1 + max(lo2, k2) - P - k2
-        k1_hi = hi1 + hi2 - P - k2
-        if k1_lo <= k1_hi:
-            outer: Dict[Cell, Dict[Word, int]] = {}
-            series_into(space, u1, col, ((k1_lo, k1_hi),), outer)
-            prod_grid.update(((k1, k2), row) for (k1,), row in outer.items())
-
-    iter_grid = _iterate_band(space, u1_word, u2_terms, w_terms, box, P)
+    # only bands are read: the product at c[j1 + j2 - P - k2, k2] for
+    # t2min <= k2 <= j2, the iterate at d[j1 - P + i, j2 - i] for 0 <= i <= P,
+    # with (j1, j2) in the box
+    prod_grid = _product_grid(
+        space, u1, u2_terms, w_terms, (t2min, hi2),
+        lambda k2: (lo1 + max(lo2, k2) - P - k2, hi1 + hi2 - P - k2),
+    )
+    iter_grid = _iterate_grid(
+        space, u1, u2_terms, w_terms, (lo1 - P, hi1),
+        lambda k1: (lo2 - min(P, k1 - lo1 + P), hi2 - max(0, k1 - hi1 + P)),
+    )
 
     mismatches = []
     nonzero = 0

@@ -38,7 +38,7 @@ from .vertex import Cell, integer_terms, iterate_series, product_series, series_
 
 
 class Factor(NamedTuple):
-    """One generating-series factor h_gen^(deriv)(var), possibly one-sided.
+    """One generating-series factor h_gen^(deriv)(var).
 
     `var` is a plain variable name, or "b+s" for a factor re-centered at
     the sum of two variables (expanded in nonnegative powers of s).
@@ -47,7 +47,6 @@ class Factor(NamedTuple):
     gen: int
     deriv: int
     var: str
-    part: str = "full"
 
 
 class NOExpr:

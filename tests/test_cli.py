@@ -39,9 +39,15 @@ def test_parse_state_basic():
 def test_parse_state_rejects_garbage():
     from fermifock.cli import UsageError
 
-    for bad in ("e1(-1/2)", "e9(-1/2) |0>", "e1(1/2) |0>", "e1(-1) |0>", "q1(-1/2) |0>"):
+    malformed = ("e1(-1/2)", "e9(-1/2) |0>", "e1(1/2) |0>", "e1(-1) |0>", "q1(-1/2) |0>")
+    zero_denominators = ("1/0 * |0>", "e1(-1/0) |0>", "1/0 * e1(-1/2) |0>")
+    for bad in malformed + zero_denominators:
         with pytest.raises(UsageError):
             parse_state(SPACE, bad)
+    # a zero denominator is bad input (exit 2), not a ZeroDivisionError
+    assert main(["expdelta", "1/0 * |0>"]) == 2
+    assert main(["expdelta", "e1(-1/0) |0>"]) == 2
+    assert main(["correlate", "1/0 * e1(-1/2) |0> @ z1"]) == 2
 
 
 def test_render_parse_round_trip_is_idempotent():
@@ -135,6 +141,12 @@ def test_cli_malformed_config_exits_2(tmp_path):
     missing = tmp_path / "nope.json"
     proc = run_cli(["--config", str(missing), "check", "--suite", "pbw"])
     assert proc.returncode == 2
+    zero_gram = '{"M": 1, "gram": [["0", "1/0"], ["1", "0"]]}'
+    zero_coeff = '{"M": 1, "delta_coeffs": [[0, 1, "1/0"]]}'
+    for text in (zero_gram, zero_coeff):
+        bad.write_text(text)
+        proc = run_cli(["--config", str(bad), "check", "--suite", "pbw"])
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_cli_config_round_trip(tmp_path):
@@ -247,6 +259,8 @@ def test_cli_check_delta_contraction_numbers_are_conclusive(capsys):
         assert main(["--json", "check", "--suite", "delta", "--seed", str(seed)]) == 0
         records = {r["identity"]: r for r in _records(capsys.readouterr().out)}
         assert records["contraction_number_routes"]["status"] == "pass", (seed, records)
+        # the exp_delta words are drawn from couples too, so a pair deletion survives
+        assert records["exp_closed_vs_iterative"]["status"] == "pass", (seed, records)
 
 
 def test_cli_check_records_carry_counts(capsys):

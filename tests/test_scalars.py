@@ -28,6 +28,8 @@ def test_binom_pascal_identity():
 
 def test_rational_round_trip():
     assert parse_rational("-3/6") == Fraction(-1, 2)
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(4, 2)) == "2"
 

@@ -20,7 +20,6 @@ from fermifock.fock import (
 from fermifock.laurent import Box
 from fermifock.scalars import binom
 from fermifock.vertex import (
-    _iterate_band,
     check_axioms,
     check_weak_associativity,
     enumerate_shuffles,
@@ -280,35 +279,80 @@ def test_weak_associativity_random_triples():
         assert report["status"] == "pass", report
 
 
-def test_iterate_band_matches_full_window_on_read_cells():
-    """The banded iterate rows of the weak-associativity check equal the
-    rows on the full x2 window [lo2 - P, hi2] on every cell the comparison
-    reads, d[j1 - P + i, j2 - i] with 0 <= i <= P; criterion-2 triples."""
-    rng = random.Random(77001)
+def _band_triples(seed):
+    """Seeded criterion-2 triples (box, u1 word, u2, w) whose u1 and u2
+    words have length <= 2, which keeps the unbanded oracles cheap."""
+    rng = random.Random(seed)
     box = Box(("x0", "x2"), ((-4, 4), (-4, 4)))
-    (lo1, hi1), (lo2, hi2) = box.intervals
-    pole_orders = []
-    read_nonzero = 0
     for _ in range(40):
-        u1 = FockVector.word(random_word(rng, SPACE, 6))
+        u1 = random_word(rng, SPACE, 6)
         u2 = FockVector.word(random_word(rng, SPACE, 6))
         w = random_state(rng, SPACE, 6)
-        if max(map(len, u1.terms)) > 2 or max(map(len, u2.terms)) > 2:
-            continue  # keeps the unbanded oracle cheap
-        P = check_weak_associativity(SPACE, next(iter(u1.terms)), u2, w, box)["pole_order"]
+        if len(u1) <= 2 and max(map(len, u2.terms)) <= 2:
+            yield box, u1, u2, w
+
+
+def _spy(monkeypatch, name):
+    """Record every int grid that the vertex routine `name` returns; the
+    last one after a check_weak_associativity call is the check's grid."""
+    route, grids = getattr(vertex, name), []
+
+    def spy(*args):
+        grids.append(route(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(vertex, name, spy)
+    return grids
+
+
+def test_iterate_band_matches_full_window_on_read_cells(monkeypatch):
+    """The banded iterate rows that check_weak_associativity builds by
+    _iterate_grid equal the rows on the full x2 window [lo2 - P, hi2] on
+    every cell the comparison reads, d[j1 - P + i, j2 - i] with 0 <= i <= P;
+    criterion-2 triples."""
+    grids = _spy(monkeypatch, "_iterate_grid")
+    pole_orders = []
+    read_nonzero = 0
+    for box, u1, u2, w in _band_triples(77001):
+        (lo1, hi1), (lo2, hi2) = box.intervals
+        P = check_weak_associativity(SPACE, u1, u2, w, box)["pole_order"]
+        band = wrap_table(grids.pop(), integer_terms(u2)[1] * integer_terms(w)[1])
         pole_orders.append(P)
         full = {}
         for k1 in range(lo1 - P, hi1 + 1):
             a = y_coeff(SPACE, u1, k1, u2)
             for (k2,), vec in y_series(SPACE, a, w, lo2 - P, hi2).coeffs.items():
                 full[(k1, k2)] = vec
-        (u2_terms, D2), (w_terms, Dw) = integer_terms(u2), integer_terms(w)
-        band = _iterate_band(SPACE, next(iter(u1.terms)), u2_terms, w_terms, box, P)
-        band = wrap_table(band, D2 * Dw)
         for j1 in range(lo1, hi1 + 1):
             for j2 in range(lo2, hi2 + 1):
                 for i in range(P + 1):
                     cell = (j1 - P + i, j2 - i)
+                    assert band.get(cell, FockVector()) == full.get(cell, FockVector()), (P, cell)
+                    read_nonzero += cell in full
+    assert max(pole_orders) >= 7 and len(pole_orders) >= 10
+    assert read_nonzero
+
+
+def test_product_band_matches_full_window_on_read_cells(monkeypatch):
+    """The banded product columns that check_weak_associativity builds by
+    _product_grid equal product_series on the full window [t2min, hi2] in y
+    and every x power a read can reach, on every cell the comparison reads,
+    c[j1 + j2 - P - k2, k2] with t2min <= k2 <= j2; criterion-2 triples."""
+    grids = _spy(monkeypatch, "_product_grid")
+    pole_orders = []
+    read_nonzero = 0
+    for box, u1, u2, w in _band_triples(77002):
+        (lo1, hi1), (lo2, hi2) = box.intervals
+        P = check_weak_associativity(SPACE, u1, u2, w, box)["pole_order"]
+        band = wrap_table(grids.pop(), integer_terms(u2)[1] * integer_terms(w)[1])
+        pole_orders.append(P)
+        t2min = -((max(map(weight2, u2.terms)) + max(map(weight2, w.terms))) // 2)
+        x = (lo1 + lo2 - P - hi2, hi1 + hi2 - P - t2min)
+        full = product_series(SPACE, u1, u2, w, Box(("x", "y"), (x, (t2min, hi2)))).coeffs
+        for j1 in range(lo1, hi1 + 1):
+            for j2 in range(lo2, hi2 + 1):
+                for k2 in range(t2min, j2 + 1):
+                    cell = (j1 + j2 - P - k2, k2)
                     assert band.get(cell, FockVector()) == full.get(cell, FockVector()), (P, cell)
                     read_nonzero += cell in full
     assert max(pole_orders) >= 7 and len(pole_orders) >= 10
@@ -542,7 +586,7 @@ def test_integer_weak_associativity_fold_matches_fock_vector_fold(monkeypatch):
     box = Box(("x0", "x2"), ((-4, 4), (-4, 4)))
     far = Box(("x0", "x2"), ((5, 6), (5, 6)))
     statuses = {}
-    band = vertex._iterate_band
+    grid = vertex._iterate_grid
     for trial in range(60):
         u1 = random_word(rng, SPACE, 6)
         u2 = FockVector.word(random_word(rng, SPACE, 6))
@@ -561,17 +605,17 @@ def test_integer_weak_associativity_fold_matches_fock_vector_fold(monkeypatch):
         D = integer_terms(u2)[1] * integer_terms(w)[1]
 
         def poke_ints(*args):
-            grid = band(*args)
-            row = grid.setdefault(cell, {})
+            ints = grid(*args)
+            row = ints.setdefault(cell, {})
             row[word] = row.get(word, 0) + 1
-            return grid
+            return ints
 
         def poke_vectors(grid):
             grid[cell] = grid.get(cell, FockVector()) + FockVector.word(word, Fraction(1, D))
 
-        monkeypatch.setattr(vertex, "_iterate_band", poke_ints)
+        monkeypatch.setattr(vertex, "_iterate_grid", poke_ints)
         report = check_weak_associativity(SPACE, u1, u2, w, box)
-        monkeypatch.setattr(vertex, "_iterate_band", band)
+        monkeypatch.setattr(vertex, "_iterate_grid", grid)
         assert report == _weak_report_by_vectors(SPACE, u1, u2, w, box, poke_vectors)
         assert report["status"] == "fail" and report["mismatches"]
         statuses["fail"] = statuses.get("fail", 0) + 1
