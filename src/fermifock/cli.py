@@ -242,11 +242,15 @@ def _couples(rng, space, keys, count):
     return slots
 
 
-def _suite_delta(rep, space, coeffs, rng, max_weight2, window):
+def _suite_delta(rep, space, coeffs, rng, window):
     # slots are drawn as couples (an empty table draws the default's levels),
-    # so that neither check compares only zeros: 8 slots as 4 couples at
+    # so that no check compares only zeros: 8 slots as 4 couples at
     # shuffled positions, index sets the first 1..4 couples; then 3 words of
-    # 1-2 couples each, whose exponentials delete at least one pair
+    # 1-2 couples each, whose exponentials delete at least one pair; then 3
+    # one-couple commutator samples.  The series generator is h of the first
+    # couple (g, b), (h, n), with m <= n: its contraction with g lands at the
+    # cell (n - m, -b - n - 1), inside the default window when b + n <= 5,
+    # and no other term of that sample reaches it
     keys = sorted(coeffs.entries) or [(0, 1)]
     couples = _couples(rng, space, keys, 4)
     order = rng.sample(range(8), 8)
@@ -259,8 +263,11 @@ def _suite_delta(rep, space, coeffs, rng, max_weight2, window):
         rng.shuffle(slots)
         words.append(FockVector.word(tuple((g, -m - 1) for g, m in slots)))
     rep.emit("delta", check_exp_delta_routes(space, coeffs, words))
-    samples = [random_state(rng, space, max_weight2) for _ in range(4)]
-    gen, m = rng.randrange(space.dim), rng.randint(0, 1)
+    slots = _couples(rng, space, keys, 3)
+    pairs = zip(slots[::2], slots[1::2])
+    samples = [FockVector.word(((g, -b - 1), (h, -n - 1))) for (g, b), (h, n) in pairs]
+    gen, n = slots[1]
+    m = rng.randint(0, min(1, n))
     report = check_exp_delta_neg_comm(space, coeffs, gen, m, samples, window)
     rep.emit("delta", report, "exp_negative_commutator")
 
@@ -307,7 +314,7 @@ def cmd_check(args) -> int:
         elif suite == "wick":
             _suite_wick(rep, space, rng, max_w2, window2, args.r, args.s)
         elif suite == "delta":
-            _suite_delta(rep, space, coeffs, rng, max_w2, window2)
+            _suite_delta(rep, space, coeffs, rng, window2)
         elif suite == "pbw":
             _suite_pbw(rep, space, rng)
     return rep.summary()

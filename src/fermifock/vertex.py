@@ -95,14 +95,19 @@ def series_into(
     entry, in `wrap_table`.
 
     Each (source, target word, creation mask) first runs its annihilators
-    against the target word.  What is left is a partial state: the
-    remaining creation factors (a suffix of the mask's creations), the
-    modes built so far, the rest of the target word, and the exponents
-    charged so far.  The creation stage is one layered frontier of such
-    states, from the longest remaining suffix down; equal partial states
-    of different sources, words or masks are summed before they are
-    expanded further, so words that share their tails are walked once.
-    The last creation writes straight into the table.
+    against the target word.  Every annihilator removes a distinct letter
+    of the word, so a mask with more annihilators than the longest target
+    word has no term and is skipped before its plan is built.  What is
+    left is a partial state: the remaining creation factors (a suffix of
+    the mask's creations), the modes built so far, the rest of the target
+    word, and the exponents charged so far.  The creation stage is one
+    layered frontier of such states, from the longest remaining suffix
+    down; equal partial states of different sources, words or masks are
+    summed before they are expanded further, so words that share their
+    tails are walked once.  Each suffix node keeps, for this call only,
+    its list of (mode, C(n, m)) by exponent, so no leaf computes a
+    binomial or builds a mode tuple.  The last creation writes straight
+    into the table.
 
     Termination: annihilation modes must contract against creation modes
     already present in the target, which pins their levels; creation levels
@@ -115,12 +120,14 @@ def series_into(
     pair = space.pair
     # creation suffixes are interned as linked nodes, so equal suffixes of
     # different sources and masks share one id: id -> (gen, m, slots, the
-    # slot if there is only one, id of the rest); id 0 is the empty suffix
+    # slot if there is only one, id of the rest, its (mode, C(n, m)) list);
+    # id 0 is the empty suffix
     node_ids: Dict[tuple, int] = {}
     nodes: List[tuple] = [()]
     # layers[L]: (suffix id, built prefix, rest of the target word, exps) ->
     # coefficient, for the partial states with L creations left
     layers: List[Dict[tuple, int]] = [{}]
+    longest = max(map(len, terms), default=0)
 
     for factors, scale in sources:
         # a factor may charge its exponent to several slots at once (used by
@@ -138,8 +145,10 @@ def series_into(
         # only grow)
         plans = []
         for mask in range(1 << r):
-            cre = [norm[i] for i in range(r) if mask >> i & 1]
             ann = [norm[i] for i in range(r) if not mask >> i & 1]
+            if len(ann) > longest:
+                continue  # dead: more annihilators than letters to contract
+            cre = [norm[i] for i in range(r) if mask >> i & 1]
             steps = []
             for pos in range(len(ann) - 1, -1, -1):
                 gen, m, slots = ann[pos]
@@ -153,7 +162,7 @@ def series_into(
                 nid = node_ids.get(key)
                 if nid is None:
                     nid = node_ids[key] = len(nodes)
-                    nodes.append((gen, m, slots, slots[0] if len(slots) == 1 else None, sid))
+                    nodes.append((gen, m, slots, slots[0] if len(slots) == 1 else None, sid, []))
                 sid = nid
             sign = _shuffle_sign([i + 1 for i in range(r) if mask >> i & 1])
             plans.append((sign, len(cre), sid, steps))
@@ -216,13 +225,14 @@ def series_into(
                         else:
                             row.pop(w, None)
 
-    # creation stage: levels n = e + m with e >= 0, coefficient C(n, m)
+    # creation stage: levels n = e + m with e >= 0, coefficient C(n, m);
+    # modes[e] of a node is ((gen, -n-1),) and C(n, m), grown on demand
     for left in range(len(layers) - 1, 0, -1):
         below = layers[left - 1]
         for (sid, prefix, w, exps), c in layers[left].items():
             if not c:
                 continue
-            gen, m, slots, s0, rest = nodes[sid]
+            gen, m, slots, s0, rest, modes = nodes[sid]
             start = 0
             if s0 is None:
                 budget = min(his[s] - exps[s] for s in slots)
@@ -230,23 +240,29 @@ def series_into(
                 x = exps[s0]
                 head, tail = exps[:s0], exps[s0 + 1 :]
                 budget = his[s0] - x
-                if left == 1:  # the last creation: skip totals below the window
+                if left == 1:  # the last creation raises only s0
+                    if not (all(map(le, los, head)) and all(map(le, los[s0 + 1 :], tail))):
+                        continue
                     start = max(0, los[s0] - x)
+            for e in range(len(modes), budget + 1):
+                modes.append((((gen, -e - m - 1),), binom(e + m, m)))
             for e in range(start, budget + 1):
-                n = e + m
-                cc = c * binom(n, m)
-                built = prefix + ((gen, -n - 1),)
+                mode, b = modes[e]
+                cc = c * b
+                built = prefix + mode
                 if s0 is None:
                     es = list(exps)
                     for s in slots:
                         es[s] += e
                     e2 = tuple(es)
+                    if left == 1 and not all(map(le, los, e2)):
+                        continue
                 else:
                     e2 = head + (x + e,) + tail
                 if left > 1:
                     key = (rest, built, w, e2)
                     below[key] = below.get(key, 0) + cc
-                elif all(map(le, los, e2)):
+                else:
                     row = table.setdefault(e2, {})
                     word = built + w
                     s = row.get(word, 0) + cc

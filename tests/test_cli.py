@@ -261,6 +261,8 @@ def test_cli_check_delta_contraction_numbers_are_conclusive(capsys):
         assert records["contraction_number_routes"]["status"] == "pass", (seed, records)
         # the exp_delta words are drawn from couples too, so a pair deletion survives
         assert records["exp_closed_vs_iterative"]["status"] == "pass", (seed, records)
+        # the commutator samples are couples, and the series generator pairs with one
+        assert records["exp_negative_commutator"]["status"] == "pass", (seed, records)
 
 
 def test_cli_check_records_carry_counts(capsys):

@@ -522,6 +522,50 @@ def test_merged_series_walk_matches_one_source_calls_and_mode_oracle():
     assert nonzero
 
 
+def test_dead_mask_skip_matches_mode_oracle():
+    """A mask with more annihilators than the longest target word is
+    skipped, since each annihilator removes a distinct letter.  Sources of
+    up to 4 factors on a vacuum target and on one-letter targets keep every
+    mask with as many annihilators as letters; the grid must equal the
+    mode-by-mode oracle."""
+    rng = random.Random(2718)
+    intervals = ((-2, 2), (-1, 2))
+    nonzero = 0
+    for space in (SPACE, HSpace(2, RATIONAL_GRAM)):
+        targets = [FockVector.word((), Fraction(2, 3))]
+        targets += [FockVector.word(((g, -1 - rng.randint(0, 1)),), Fraction(-5, 7)) for g in range(4)]
+        for r in range(1, 5):
+            for v in targets if r < 4 else targets[:2]:
+                factors = tuple(
+                    (rng.randrange(space.dim), rng.randint(0, 1), rng.randrange(2)) for _ in range(r)
+                )
+                grid = ordered_factor_series(space, factors, v, intervals)
+                assert grid == _mode_oracle(space, factors, v, intervals), (factors, v)
+                nonzero += len(grid)
+    assert nonzero
+
+
+def test_last_creation_window_check_matches_mode_oracle():
+    """The last creation charges one slot and checks the other slots against
+    the window once per partial state.  Windows whose lower edge sits above
+    0 on a slot before or after the charged one, with int and tuple-var
+    factors, must give the mode-by-mode oracle's grid."""
+    rng = random.Random(1414)
+    nonzero = 0
+    for space in (SPACE, HSpace(2, RATIONAL_GRAM)):
+        for intervals in (((1, 3), (-2, 2)), ((-2, 2), (1, 3))):
+            for _ in range(8):
+                factors = tuple(
+                    (rng.randrange(space.dim), rng.randint(0, 1), rng.choice((0, 1, 1, 0, (0, 1))))
+                    for _ in range(rng.randint(1, 3))
+                )
+                v = _mixed_state(rng, 4, 2)
+                grid = ordered_factor_series(space, factors, v, intervals)
+                assert grid == _mode_oracle(space, factors, v, intervals), (factors, intervals)
+                nonzero += len(grid)
+    assert nonzero
+
+
 def _weak_report_by_vectors(space, u1_word, u2, w, box, poke=None):
     """The FockVector route of the weak-associativity check: one y_coeff
     per x2 column and per x0 row, FockVector rows, and sums and scales of
