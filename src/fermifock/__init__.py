@@ -24,9 +24,9 @@ from .fock import (
     weight,
     weight2,
 )
-from .laurent import Box, LaurentPoly, iota_expand
+from .laurent import Box, LaurentPoly
 from .ratfun import RationalFunction, f_mn
-from .scalars import Rational, binom
+from .scalars import binom
 from .straightening import check_confluence, defect, pbw_normal_form
 from .vertex import (
     WindowedSeries,

@@ -149,6 +149,9 @@ def _parse_insertions(space: HSpace, texts: Sequence[str]):
         word, coeff, var = parse_insertion(space, text)
         scale *= coeff
         insertions.append((word, var))
+    names = [v for _, v in insertions]
+    if len(set(names)) != len(names):
+        raise UsageError("insertion variables must be distinct")
     return insertions, scale
 
 
@@ -323,9 +326,6 @@ def cmd_check(args) -> int:
 def cmd_correlate(args) -> int:
     space = load_config(args.config)[0]
     insertions, scale = _parse_insertions(space, args.insertions)
-    names = [v for _, v in insertions]
-    if len(set(names)) != len(names):
-        raise UsageError("insertion variables must be distinct")
     rf = correlation(space, insertions).scale(scale)
     print(json.dumps({"correlation": rf.render()}))
     if not args.json:

@@ -7,16 +7,16 @@ independent.  Acting on a word it deletes one pair of modes per step, so
 its exponential is a finite sum whose coefficients are the signed
 perfect-matching sums: Pfaffians of the bracket matrix, with two slower
 independent routes kept as oracles.  The bracket matrix is cleared to
-integers over one common denominator D, so the Pfaffian memo holds ints
-and a minor on 2t slots is divided by D^t once.
+integers over one common denominator D, so the Pfaffian memo and both
+oracle routes hold ints and a value on 2t slots is divided by D^t once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .fock import FockVector, HSpace, apply_mode, check_report
 from .pfaffian import pfaffian
@@ -101,10 +101,7 @@ def delta_apply(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
             for q in range(p + 1, r):
                 gq, lq = word[q]
                 nq = -lq - 1
-                coeff = C(np_, nq)
-                if not coeff:
-                    continue
-                coeff *= space.pair(gp, gq)
+                coeff = bracket(space, C, gp, np_, gq, nq)
                 if not coeff:
                     continue
                 sign = -1 if (p + q) & 1 else 1  # (-1)^((p+1)+(q+1))
@@ -154,14 +151,6 @@ def t_number(
     return Fraction(pfaffian(kernel, [full], 1)[full], D ** (len(idx) // 2))
 
 
-def _bracket_matrix(space: HSpace, C: DeltaCoeffs, gens, levels, indices) -> list:
-    """The full bracket matrix of the slots at `indices`, for the oracles;
-    integral entries are plain ints, so integral sums stay in ints."""
-    slots = [(gens[i], levels[i]) for i in _check_indices(indices)]
-    matrix = [[bracket(space, C, *a, *b) for b in slots] for a in slots]
-    return [[int(x) if x.denominator == 1 else x for x in row] for row in matrix]
-
-
 def t_number_alt(
     space: HSpace,
     C: DeltaCoeffs,
@@ -170,8 +159,10 @@ def t_number_alt(
     indices: Sequence[int],
 ) -> Fraction:
     """Same value through the all-pairs recursion with the 1/t average; an
-    oracle for `t_number`.  The recursion is memoised on the slots left."""
-    br = _bracket_matrix(space, C, gens, levels, indices)
+    oracle for `t_number`.  The recursion is memoised on the slots left and
+    runs on the integer kernel, divided by D^t once."""
+    idx = _check_indices(indices)
+    kernel, D = _bracket_kernel(space, C, [(gens[i], levels[i]) for i in idx])
 
     @cache
     def rec(items: Tuple[int, ...]):
@@ -179,8 +170,9 @@ def t_number_alt(
             return 1
         total = 0
         for a in range(len(items)):
+            row = kernel.get(items[a], {})
             for b_ in range(a + 1, len(items)):
-                x = br[items[a]][items[b_]]
+                x = row.get(items[b_])
                 if x:
                     sign = 1 if (a + b_) & 1 else -1  # (-1)^(alpha+beta-1), 1-based
                     rest = items[:a] + items[a + 1 : b_] + items[b_ + 1 :]
@@ -188,7 +180,7 @@ def t_number_alt(
         value = Fraction(total, len(items) // 2)
         return value.numerator if value.denominator == 1 else value
 
-    return Fraction(rec(tuple(range(len(br)))))
+    return Fraction(rec(tuple(range(len(idx)))), D ** (len(idx) // 2))
 
 
 def _matchings(positions: Tuple[int, ...]):
@@ -210,13 +202,14 @@ def t_number_pairings(
     indices: Sequence[int],
 ) -> Fraction:
     """Same value as a sum over perfect matchings, -1 per edge crossing; an
-    oracle for `t_number`."""
-    br = _bracket_matrix(space, C, gens, levels, indices)
+    oracle for `t_number`, on the integer kernel divided by D^t once."""
+    idx = _check_indices(indices)
+    kernel, D = _bracket_kernel(space, C, [(gens[i], levels[i]) for i in idx])
     total = 0
-    for matching in _matchings(tuple(range(len(br)))):
+    for matching in _matchings(tuple(range(len(idx)))):
         value = 1
-        for a, b_ in matching:
-            value *= br[a][b_]
+        for a, b_ in matching:  # a < b_: each edge starts at the first free slot
+            value *= kernel.get(a, {}).get(b_, 0)
             if not value:
                 break
         if not value:
@@ -229,7 +222,7 @@ def t_number_pairings(
                 if (a < c < b_ < d) or (c < a < d < b_):
                     crossings += 1
         total += value * (-1 if crossings & 1 else 1)
-    return Fraction(total)
+    return Fraction(total, D ** (len(idx) // 2))
 
 
 def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
@@ -259,27 +252,33 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
     return out
 
 
-def delta_power_over_factorial(space: HSpace, C: DeltaCoeffs, vec: FockVector, t: int) -> ExpGrid:
-    """Iterative oracle: apply the operator t times and divide by t!."""
-    grid: ExpGrid = {0: vec}
-    fact = 1
-    for step in range(1, t + 1):
+def _delta_powers(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> Iterator[ExpGrid]:
+    """Yield the operator's powers over t! on `vec` for t = 0, 1, ...: each
+    applies the operator once to the previous one and divides by t.  Each
+    step deletes a pair, so the walk stops (at the first power that
+    vanishes) after at most half the longest word."""
+    grid: ExpGrid = {0: vec} if vec else {}
+    t = 0
+    while grid:
+        yield grid
+        t += 1
         nxt: ExpGrid = {}
         for e, v in grid.items():
             for e2, v2 in delta_apply(space, C, v).items():
                 _grid_add(nxt, e + e2, v2)
-        grid = nxt
-        fact *= step
-    return {e: v.scale(Fraction(1, fact)) for e, v in grid.items() if v}
+        grid = {e: v.scale(Fraction(1, t)) for e, v in nxt.items()}
+
+
+def delta_power_over_factorial(space: HSpace, C: DeltaCoeffs, vec: FockVector, t: int) -> ExpGrid:
+    """Iterative oracle: the operator applied t times, divided by t!."""
+    return next(islice(_delta_powers(space, C, vec), t, None), {})
 
 
 def exp_delta_iterated(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
-    """Oracle route of `exp_delta`: the sum over t of the iterated powers
-    over t!, up to half the longest word (each step deletes a pair)."""
+    """Oracle route of `exp_delta`: the sum of the iterated powers over t!."""
     out: ExpGrid = {}
-    rmax = max((len(w) for w in vec.terms), default=0)
-    for t in range(rmax // 2 + 1):
-        for e, w in delta_power_over_factorial(space, C, vec, t).items():
+    for grid in _delta_powers(space, C, vec):
+        for e, w in grid.items():
             _grid_add(out, e, w)
     return out
 

@@ -11,8 +11,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, Tuple
 
-from .scalars import binom
-
 Cell = Tuple[int, ...]
 
 
@@ -124,19 +122,3 @@ class LaurentPoly:
             )
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
-
-
-def iota_expand(t: int, x: str, y: str, max_inner_degree: int) -> LaurentPoly:
-    """Truncated geometric expansion of (x - y)^(-t) in the region |x| > |y|.
-
-    Returns sum_{i=0..N} C(t+i-1, i) x^(-t-i) y^i with N = max_inner_degree;
-    exact on the box {x: any, y: [0, N]}.
-    """
-    if t < 1:
-        raise ValueError("pole order must be positive")
-    if max_inner_degree < 0:
-        raise ValueError("truncation order must be nonnegative")
-    table = {}
-    for i in range(max_inner_degree + 1):
-        table[(-t - i, i)] = Fraction(binom(t + i - 1, i))
-    return LaurentPoly((x, y), table)

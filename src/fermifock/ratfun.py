@@ -425,20 +425,17 @@ class RationalFunction:
     # -- regional expansion ------------------------------------------------
 
     def integer_summands(self, scale: int = 1):
-        """Yield (scale * integer coefficient, fixed exponent map, diff factor
-        list) per numerator term; the coefficients are over `int_den`.
-
-        Fixed exponents fold the z_i^a denominator in (so they may be
-        negative); diff factors are (x, y, power) with x canonically first.
+        """Yield (scale * integer coefficient, fixed exponent map) per
+        numerator term; the coefficients are over `int_den`.  Fixed
+        exponents fold the z_i^a denominator in, so they may be negative.
         """
-        diffs = [(x, y, b) for (x, y), b in sorted(self.den_diff.items())]
         for cell, c in self.int_num.items():
             fixed = {}
             for v, e in zip(self.vars, cell):
                 e -= self.den_pow.get(v, 0)
                 if e:
                     fixed[v] = e
-            yield c * scale, fixed, list(diffs)
+            yield c * scale, fixed
 
     def expand_region(self, order: Iterable[str], box_intervals) -> LaurentPoly:
         """Exact Laurent table in the region |o1| > |o2| > ..., on a box.

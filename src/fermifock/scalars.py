@@ -11,34 +11,20 @@ so the integer-valued helpers below return ints.
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction
-
-
-_binom_cache: dict = {}
+from math import comb
 
 
 def binom(n: int, m: int) -> int:
     """Binomial coefficient C(n, m) for any integer n and natural m.
 
-    Computed as the falling-factorial product n(n-1)...(n-m+1)/m!, which
-    is an exact integer for every integer n.  C(n, 0) = 1.
+    `math.comb` for n >= 0; for n < 0 the reflection
+    C(n, m) = (-1)^m C(m - n - 1, m).  C(n, 0) = 1.
     """
     if m < 0:
         raise ValueError("lower argument must be nonnegative")
-    cached = _binom_cache.get((n, m))
-    if cached is not None:
-        return cached
-    num = 1
-    for i in range(m):
-        num *= n - i
-    den = 1
-    for i in range(2, m + 1):
-        den *= i
-    q, r = divmod(num, den)
-    assert r == 0
-    _binom_cache[(n, m)] = q
-    return q
+    if n >= 0:
+        return comb(n, m)
+    return (-1) ** m * comb(m - n - 1, m)
 
 
 def parse_rational(text: str) -> Fraction:

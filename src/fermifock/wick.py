@@ -387,7 +387,7 @@ def _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his
     lb = _slot_floor(base_ms, v_terms)
     ls = _slot_floor(shift_ms, v_terms)
 
-    for c, fixed, _ in summands:
+    for c, fixed in summands:
         fixed_vec = [0] * nv
         for var, e in fixed.items():
             fixed_vec[order_index[var]] = e

@@ -77,8 +77,15 @@ def test_cli_correlate_odd_and_single():
 
 
 def test_cli_correlate_duplicate_vars_is_usage_error():
-    proc = run_cli(["correlate", "e1(-1/2) |0> @ z", "f1(-1/2) |0> @ z"])
-    assert proc.returncode == 2
+    insertions = ["e1(-1/2) |0> @ z", "f1(-1/2) |0> @ z"]
+    for args in (
+        ["correlate", *insertions],
+        ["expand", *insertions, "--order=z,z", "--window=0,0,0,0"],
+    ):
+        proc = run_cli(args)
+        assert proc.returncode == 2, args
+        assert "Traceback" not in proc.stderr
+        assert "distinct" in proc.stderr
 
 
 def test_cli_expand_matches_base_table():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -233,6 +234,53 @@ def test_delta_nilpotency():
         word = tuple((rng.randrange(space.dim), -rng.randint(1, 3)) for _ in range(r))
         v = FockVector.word(word)
         assert delta_power_over_factorial(space, C, v, r // 2 + 1) == {}
+
+
+def _composed_power(space, C, v, t):
+    """The operator applied t times by explicit composition, over t!."""
+    grid = {0: v}
+    for _ in range(t):
+        nxt = {}
+        for e, w in grid.items():
+            for e2, w2 in delta_apply(space, C, w).items():
+                nxt[e + e2] = nxt.get(e + e2, FockVector()) + w2
+        grid = nxt
+    return {e: w.scale(Fraction(1, factorial(t))) for e, w in grid.items() if w}
+
+
+def test_delta_powers_match_composed_applications():
+    rng = random.Random(97)
+    cases = []
+    for _ in range(8):
+        C = _random_coeffs(rng)
+        space = _random_gram_space(rng)
+        v = FockVector()
+        for _ in range(2):
+            r = rng.randint(0, 6)
+            word = tuple((rng.randrange(space.dim), -rng.randint(1, 3)) for _ in range(r))
+            v = v + FockVector.word(word, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+        cases.append((space, C, v))
+    # no bracket is nonzero: e1, e2 pair to zero, so every power t >= 1 vanishes
+    cases.append((SPACE, C01, FockVector.word(((E1, -1), (E2, -2), (E1, -2), (E2, -1)))))
+    # one contractible pair, after which nothing contracts: the square vanishes below r/2 = 2
+    cases.append((SPACE, C01, FockVector.word(((E1, -1), (F1, -2), (E2, -1), (E2, -1)))))
+    deep = 0
+    for space, C, v in cases:
+        half = max((len(w) for w in v.terms), default=0) // 2
+        total = {}
+        for t in range(half + 2):
+            expected = _composed_power(space, C, v, t)
+            assert delta_power_over_factorial(space, C, v, t) == expected, t
+            deep += t >= 2 and bool(expected)
+            for e, w in expected.items():
+                total[e] = total.get(e, FockVector()) + w
+        assert delta_power_over_factorial(space, C, v, half + 1) == {}
+        assert exp_delta_iterated(space, C, v) == {e: w for e, w in total.items() if w}
+    assert deep
+    no_brackets, one_pair = cases[-2][2], cases[-1][2]
+    assert exp_delta_iterated(SPACE, C01, no_brackets) == {0: no_brackets}
+    assert delta_power_over_factorial(SPACE, C01, one_pair, 1)
+    assert delta_power_over_factorial(SPACE, C01, one_pair, 2) == {}
 
 
 def test_delta_basis_independence():

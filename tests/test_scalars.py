@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from fermifock.laurent import Box, LaurentPoly, iota_expand
+from fermifock.laurent import Box, LaurentPoly
 from fermifock.ratfun import RationalFunction, f_mn
 from fermifock.scalars import binom, format_rational, parse_rational
 
@@ -20,6 +21,22 @@ def test_binom_rejects_negative_lower():
         binom(3, -1)
 
 
+def _falling_factorial_binom(n, m):
+    """C(n, m) as the product n(n-1)...(n-m+1) over m!."""
+    num = 1
+    for i in range(m):
+        num *= n - i
+    q, r = divmod(num, factorial(m))
+    assert r == 0
+    return q
+
+
+def test_binom_matches_falling_factorial_product():
+    for n in range(-40, 41):
+        for m in range(21):
+            assert binom(n, m) == _falling_factorial_binom(n, m), (n, m)
+
+
 def test_binom_pascal_identity():
     for n in range(-20, 21):
         for m in range(1, 11):
@@ -34,18 +51,25 @@ def test_rational_round_trip():
     assert format_rational(Fraction(4, 2)) == "2"
 
 
-def test_iota_expand_small_tables():
-    t1 = iota_expand(1, "x", "y", 2)
+def _geometric(t, n):
+    """(x - y)^(-t) expanded in |x| > |y| up to y^n."""
+    rf = RationalFunction.diff_inverse("x", "y", t)
+    return rf.expand_region(("x", "y"), ((-t - n, 0), (0, n)))
+
+
+def test_geometric_expansion_small_tables():
+    t1 = _geometric(1, 2)
     assert t1 == LaurentPoly(("x", "y"), {(-1, 0): 1, (-2, 1): 1, (-3, 2): 1})
-    t2 = iota_expand(2, "x", "y", 1)
+    t2 = _geometric(2, 1)
     assert t2 == LaurentPoly(("x", "y"), {(-2, 0): 1, (-3, 1): 2})
-    assert iota_expand(1, "x", "y", 0) == LaurentPoly(("x", "y"), {(-1, 0): 1})
+    assert _geometric(1, 0) == LaurentPoly(("x", "y"), {(-1, 0): 1})
 
 
-def test_iota_expand_is_divided_derivative_of_base_expansion():
-    # iota(t) coefficientwise equals the (t-1)-th divided y-derivative of iota(1)
+def test_geometric_expansion_is_divided_derivative_of_base_expansion():
+    # (x - y)^(-t) coefficientwise equals the (t-1)-th divided y-derivative
+    # of the expansion of (x - y)^(-1)
     n = 12
-    base = iota_expand(1, "x", "y", n)
+    base = _geometric(1, n)
     for t in range(2, 6):
         derived = {}
         for (a, i), c in base.coeffs.items():
@@ -53,7 +77,7 @@ def test_iota_expand_is_divided_derivative_of_base_expansion():
             if j >= 0:
                 derived[(a, j)] = c * binom(i, t - 1)
         expected = LaurentPoly(("x", "y"), derived)
-        got = iota_expand(t, "x", "y", n - (t - 1))
+        got = _geometric(t, n - (t - 1))
         assert got == expected
 
 
@@ -73,7 +97,7 @@ def test_f_mn_matches_divided_derivatives_of_expansion():
         for k in range(3):
             table = f_mn(m, k, "x", "y").expand_region(("x", "y"), box.intervals)
             derived = {}
-            for (a, i), c in iota_expand(1, "x", "y", n).coeffs.items():
+            for (a, i), c in _geometric(1, n).coeffs.items():
                 aa, ii = a - m, i - k
                 cc = c * binom(a, m) * binom(i, k)
                 if cc and box.contains((aa, ii)):

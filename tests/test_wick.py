@@ -172,7 +172,7 @@ def test_closed_forms_match_series_under_rational_gram():
             rational_kernels += any(
                 Fraction(c, rf.int_den).denominator > 1
                 for rf, _ in expr.terms
-                for c, _, _ in rf.integer_summands()
+                for c, _ in rf.integer_summands()
             )
             series = series_of(space, FockVector.word(u1), FockVector.word(u2), v, box)
             closed = noexpr_apply(space, expr, v, ("x", "y"), box.intervals)
