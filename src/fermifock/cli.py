@@ -46,20 +46,31 @@ def load_config(path: str | None) -> Tuple[HSpace, DeltaCoeffs]:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise UsageError(f"cannot read config: {e}")
+    if not isinstance(raw, dict):
+        raise UsageError("bad config: the top level must be a JSON object")
     try:
-        M = int(raw["M"])
+        M = _json_int(raw["M"], "M")
+        if M > 32:  # the Gram matrix is 2M x 2M Fractions, built before any check
+            raise UsageError(f"config M = {M} is above the limit 32")
         gram = raw.get("gram")
         if gram is not None:
             gram = [[parse_rational(str(x)) for x in row] for row in gram]
         space = HSpace(M, gram)
         triples = [
-            (int(m), int(n), parse_rational(str(val)))
+            (_json_int(m, "level"), _json_int(n, "level"), parse_rational(str(val)))
             for m, n, val in raw.get("delta_coeffs", [[0, 1, "1"]])
         ]
         coeffs = DeltaCoeffs.from_list(triples)
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError(f"bad config: {e}")
     return space, coeffs
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer: bools and floats are refused, not truncated."""
+    if type(value) is not int:
+        raise UsageError(f"bad config: {what} must be an integer, not {json.dumps(value)}")
+    return value
 
 
 # -- state expressions ---------------------------------------------------------

@@ -28,8 +28,10 @@ def binom(n: int, m: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p', 'p/q' or a decimal-free signed integer string exactly;
-    a zero denominator is a ValueError, like any other malformed text."""
+    """Parse a rational exactly by `Fraction`'s grammar: 'p', 'p/q', and
+    also decimals and exponents such as '1.5' or '1e3' (read as exact
+    decimals, never as floats); a zero denominator is a ValueError, like
+    any other malformed text."""
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

@@ -130,8 +130,8 @@ def series_into(
     longest = max(map(len, terms), default=0)
 
     for factors, scale in sources:
-        # a factor may charge its exponent to several slots at once (used by
-        # re-centered evaluations to carry joint window budgets)
+        # a factor may charge its exponent to several slots at once: the
+        # re-centered factors of wick._apply_shifted_term charge (w, base)
         norm = tuple(
             (g, m, (var,) if isinstance(var, int) else tuple(var)) for g, m, var in factors
         )
@@ -495,6 +495,8 @@ def check_axioms(space: HSpace, samples: Sequence[FockVector], lo: int, hi: int)
     vanishes, so every cell they read counts.
     """
     pairs = [(samples[i], samples[(i + 1) % len(samples)]) for i in range(len(samples))]
+    # Y(u, x)v once per pair, one cell past the window for the derivative
+    bases = [y_series(space, u, v, lo, hi + 1) for u, v in pairs]
     window = range(lo, hi + 1)
     vac = FockVector.vacuum()
 
@@ -527,8 +529,7 @@ def check_axioms(space: HSpace, samples: Sequence[FockVector], lo: int, hi: int)
                 yield ("limit_is_state", 0), series.coefficient((0,)), u
 
     def grading_commutator():
-        for u, v in pairs:
-            base = y_series(space, u, v, lo, hi)
+        for (u, v), base in zip(pairs, bases):
             on_dv = y_series(space, u, grading_op(v), lo, hi)
             of_du = y_series(space, grading_op(u), v, lo, hi)
             for k in window:
@@ -537,8 +538,7 @@ def check_axioms(space: HSpace, samples: Sequence[FockVector], lo: int, hi: int)
                 yield (k,), lhs, yk.scale(k) + of_du.coefficient((k,))
 
     def translation():
-        for u, v in pairs:
-            base = y_series(space, u, v, lo, hi + 1)
+        for (u, v), base in zip(pairs, bases):
             via_d = y_series(space, d_op(u), v, lo, hi)
             on_dv = y_series(space, u, d_op(v), lo, hi)
             for k in window:
@@ -547,12 +547,9 @@ def check_axioms(space: HSpace, samples: Sequence[FockVector], lo: int, hi: int)
                 yield ("commutator", k), dk, d_op(base.coefficient((k,))) - on_dv.coefficient((k,))
 
     def lower_truncation():
-        for u, v in pairs:
-            bound = _trunc2(u, v)
-            if bound > lo:
-                series = y_series(space, u, v, lo, min(bound - 1, hi))
-                for k in range(lo, min(bound, hi + 1)):
-                    yield (k,), series.coefficient((k,)), None
+        for (u, v), base in zip(pairs, bases):
+            for k in range(lo, min(_trunc2(u, v), hi + 1)):
+                yield (k,), base.coefficient((k,)), None
 
     return [
         report("identity", identity()),

@@ -350,11 +350,12 @@ def _apply_plain_term(space, coeff_rf, scale, factors, v_terms, order_index, los
 def _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his, acc):
     """Evaluate a term whose re-centered factors sit at one base+shift pair.
 
-    The factors at "b+s" go to an auxiliary grid slot w, and the grid is
-    substituted w^c -> sum_i C(c, i) s^i b^(c-i); expanding the total
-    power agrees with expanding factorwise, so this is exact.  A second
-    auxiliary slot tracks the base total d_b + c jointly, which is what
-    the output window actually constrains, keeping the grid small.
+    A factor at "b+s" charges its exponent to two grid slots: an auxiliary
+    slot w, which keeps its total c for the substitution
+    w^c -> sum_i C(c, i) s^i b^(c-i), and the base variable's own slot, which
+    so holds d_b + c, the base total that the output window constrains.
+    Every other factor charges only its own variable's slot.  Expanding the
+    total power agrees with expanding factorwise, so this is exact.
     """
     nv = len(los)
     combos = {f.var for f in factors if "+" in f.var}
@@ -364,74 +365,38 @@ def _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his
     base, shift = combo.split("+")
     if base not in order_index or shift not in order_index:
         raise ValueError(f"unknown shifted variable {combo!r}")
-    bidx, sidx = order_index[base], order_index[shift]
-    wslot, vslot = nv, nv + 1
-    engine_factors = []
-    shifted_ms: List[int] = []
-    base_ms: List[int] = []
-    shift_ms: List[int] = []
-    for f in factors:
-        if f.var == combo:
-            engine_factors.append((f.gen, f.deriv, (wslot, vslot)))
-            shifted_ms.append(f.deriv)
-        else:
-            idx = order_index[f.var]
-            slots = (idx, vslot) if idx == bidx else (idx,)
-            engine_factors.append((f.gen, f.deriv, slots))
-            if idx == bidx:
-                base_ms.append(f.deriv)
-            elif idx == sidx:
-                shift_ms.append(f.deriv)
-
-    lw = _slot_floor(shifted_ms, v_terms)
-    lb = _slot_floor(base_ms, v_terms)
-    ls = _slot_floor(shift_ms, v_terms)
+    b, s, w = order_index[base], order_index[shift], nv
+    engine_factors = tuple(
+        (f.gen, f.deriv, (w, b) if f.var == combo else order_index[f.var]) for f in factors
+    )
+    # sharp floors of d_b, d_s and c: the walk never takes c below lw, since
+    # annihilators run first and creations only add
+    floors = _grid_lower_bounds(factors, {**order_index, combo: w}, nv + 1, v_terms)
+    lb, ls, lw = floors[b], floors[s], floors[w]
 
     for c, fixed in summands:
         fixed_vec = [0] * nv
         for var, e in fixed.items():
             fixed_vec[order_index[var]] = e
-        imax = his[sidx] - fixed_vec[sidx] - ls
-        if imax < 0:
+        imax = his[s] - fixed_vec[s] - ls  # the largest power of s the split can add
+        cmax = his[b] - fixed_vec[b] - lb + imax
+        if imax < 0 or cmax < lw:
             continue
-        box = []
-        dead = False
-        for var in range(nv):
-            if var == bidx:
-                lohi = (lb, his[bidx] - fixed_vec[bidx] - lw + imax)
-            elif var == sidx:
-                lohi = (ls, his[sidx] - fixed_vec[sidx])
-            else:
-                lohi = (los[var] - fixed_vec[var], his[var] - fixed_vec[var])
-            if lohi[0] > lohi[1]:
-                dead = True
-                break
-            box.append(lohi)
-        if dead:
-            continue
-        cmax = his[bidx] - fixed_vec[bidx] - lb + imax
-        if cmax < lw:
-            continue
-        box.append((lw, cmax))  # w slot
-        # joint slot: d_b + c, pinned by the base-variable output window
-        box.append((los[bidx] - fixed_vec[bidx], his[bidx] - fixed_vec[bidx] + imax))
+        box = [(lo - e, hi - e) for lo, hi, e in zip(los, his, fixed_vec)]
+        box[b] = (box[b][0], box[b][1] + imax)
+        box[s] = (ls, box[s][1])
+        box.append((lw, cmax))
         table: Dict[Cell, Dict[Word, int]] = {}
-        series_into(space, ((tuple(engine_factors), 1),), v_terms, tuple(box), table)
+        series_into(space, ((engine_factors, 1),), v_terms, tuple(box), table)
         for cell, row in table.items():
-            cw = cell[wslot]
-            joint = cell[vslot]
-            for i in range(0, imax - cell[sidx] + 1):
-                out_b = fixed_vec[bidx] + joint - i
-                if out_b < los[bidx] or out_b > his[bidx]:
-                    continue
-                cb = binom(cw, i)
-                if not cb:
-                    continue
-                out = list(cell[:nv])
-                for var in range(nv):
-                    out[var] += fixed_vec[var]
-                out[sidx] += i
-                out[bidx] = out_b
-                out = tuple(out)
-                if all(l <= x <= h for x, l, h in zip(out, los, his)):
-                    _table_add(acc, out, row, c * cb)
+            out = [x + e for x, e in zip(cell, fixed_vec)]
+            # s^i b^(c-i) moves i from the base to the shift slot
+            first = max(0, los[s] - out[s], out[b] - his[b])
+            last = min(his[s] - out[s], out[b] - los[b])
+            for i in range(first, last + 1):
+                cb = binom(cell[w], i)
+                if cb:
+                    out_i = list(out)
+                    out_i[s] += i
+                    out_i[b] -= i
+                    _table_add(acc, tuple(out_i), row, c * cb)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -289,3 +290,128 @@ def test_cli_check_far_windows_keep_the_exit_contract(suite, window):
     assert "Traceback" not in proc.stderr, proc.stderr
     if suite == "axioms":
         assert proc.returncode == 0, proc.stdout
+
+
+@pytest.mark.parametrize(
+    "config, phrase",
+    [
+        ('{"M": true}', "M must be an integer, not true"),
+        ('{"M": 1.5}', "M must be an integer, not 1.5"),
+        ('{"M": "2"}', 'M must be an integer, not "2"'),
+        ('{"M": 33}', "limit 32"),
+        ("[]", "top level must be a JSON object"),
+        ('{"M": 1, "delta_coeffs": [[0, 1.5, "1"]]}', "level must be an integer, not 1.5"),
+        ('{"M": 1, "delta_coeffs": [[false, 1, "1"]]}', "level must be an integer, not false"),
+    ],
+)
+def test_cli_config_integers_are_validated(config, phrase, tmp_path, capsys):
+    # bools and floats are refused, not truncated; a large M is refused
+    # before its 2M x 2M Gram matrix is built
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert main(["--config", str(cfg), "--json", "expdelta", "|0>"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and phrase in out.err, out.err
+
+
+def test_cli_config_at_the_size_limit_runs(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"M": 32}')
+    assert main(["--config", str(cfg), "correlate", "e32(-1/2) |0> @ z1", "f32(-1/2) |0> @ z2"]) == 0
+    assert json.loads(capsys.readouterr().out)["correlation"] == "(1) / (z1 - z2)"
+
+
+MALFORMED_CONFIGS = (
+    "not json",
+    "null",
+    "[]",
+    "{}",
+    '{"M": true}',
+    '{"M": 1.5}',
+    '{"M": 33}',
+    '{"M": -1}',
+    '{"M": 1, "gram": [[0, 1]]}',  # not square
+    '{"M": 1, "gram": [[0, 1], [2, 0]]}',  # asymmetric
+    '{"M": 1, "gram": [[0, 0], [0, 0]]}',  # degenerate
+    '{"M": 1, "gram": [["x", 1], [1, 0]]}',
+    '{"M": 1, "gram": 5}',
+    '{"M": 1, "delta_coeffs": [[0, 0, "1"]]}',  # nonzero diagonal
+    '{"M": 1, "delta_coeffs": [[0, 1, "1"], [1, 0, "1"]]}',  # not antisymmetric
+    '{"M": 1, "delta_coeffs": [[-1, 1, "1"]]}',
+    '{"M": 1, "delta_coeffs": [[0.5, 1, "1"]]}',
+    '{"M": 1, "delta_coeffs": [[0, 1]]}',
+    '{"M": 1, "delta_coeffs": [[0, 1, "1/0"]]}',
+    '{"M": 1, "delta_coeffs": 3}',
+)
+VALID_CONFIGS = (
+    None,
+    '{"M": 1}',
+    '{"M": 1, "gram": [["1/2", "1"], ["1", "0"]], "delta_coeffs": [[0, 2, "-1/3"]]}',
+    '{"M": 2, "delta_coeffs": [[0, 1, "1"], [1, 2, "2"]]}',
+)
+STATE_TOKENS = ("e1", "f1", "e2", "f2", "e3", "(", ")", "-1/2", "-3/2", "1/2", "-1", "0", "1/0",
+                "|0>", "+", "*", "-2", "3/4", "@", " ")
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse refuses its own usage errors with 2
+        return e.code
+
+
+def test_cli_fuzz_keeps_the_exit_contract(tmp_path, capsys):
+    # seeded near-valid input: states with a token now and then replaced,
+    # dropped or added, windows of 1-5 ints (reversed ones too), and a
+    # malformed config on a third of the runs; every run exits 0, 1 or 2
+    # and raises nothing, and a malformed config always exits 2
+    rng = random.Random(2718)
+    paths = []
+    for i, text in enumerate(VALID_CONFIGS + MALFORMED_CONFIGS):
+        path = None
+        if text is not None:
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(text)
+        paths.append(path)
+
+    def state(terms):
+        tokens = []
+        for t in range(terms):
+            tokens += ["+"] * (t > 0) + [rng.choice(["", "-2 *", "3/4"])]
+            for _ in range(rng.randint(0, 3)):
+                tokens += [rng.choice(["e1", "f1", "e2", "f2"]), "(", rng.choice(["-1/2", "-3/2"]), ")"]
+            tokens.append("|0>")
+        if rng.random() < 0.4:
+            at = rng.randrange(len(tokens) + 1)
+            tokens[at:at + rng.randint(0, 1)] = [rng.choice(STATE_TOKENS)] * rng.randint(0, 1)
+        return " ".join(tokens)
+
+    def window():
+        nums = [rng.randint(-3, 3) for _ in range(rng.choice([1, 2, 2, 3, 4, 4, 5]))]
+        if rng.random() < 0.8:
+            nums = [x for pair in zip(nums[::2], nums[1::2]) for x in sorted(pair)] + nums[len(nums) // 2 * 2:]
+        return ",".join(map(str, nums))
+
+    codes = []
+    for trial in range(200):
+        index = rng.randrange(len(VALID_CONFIGS)) if rng.random() < 0.67 else rng.randrange(len(paths))
+        argv = ["--json"] + (["--config", str(paths[index])] if paths[index] else [])
+        command = rng.choice(["check", "correlate", "expand", "expdelta"])
+        names = [f"z{i}" for i in range(rng.randint(1, 2))]
+        if command == "check":
+            argv += ["check", "--suite", rng.choice(["axioms", "wick", "delta", "pbw", "all"]),
+                     "--seed", str(trial), "--window=" + window(), "--max-weight", str(rng.randint(0, 1)),
+                     "--r", str(rng.randint(0, 1)), "--s", str(rng.randint(0, 1))]
+        elif command == "expdelta":
+            argv += ["expdelta", state(rng.randint(1, 2))]
+        else:
+            argv += [command] + [f"{state(1)} @ {name}" for name in names]
+            if command == "expand":
+                argv += ["--order=" + ",".join(rng.sample(names, len(names))), "--window=" + window()]
+        code = _exit_code(argv)
+        assert code in (0, 1, 2), argv
+        if index >= len(VALID_CONFIGS):
+            assert code == 2, argv
+        codes.append(code)
+    capsys.readouterr()
+    assert codes.count(0) >= 50 and codes.count(2) >= 50, codes

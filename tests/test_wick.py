@@ -300,45 +300,101 @@ def test_correlation_matches_series_expansion():
     assert nonzero  # the comparison is not on zeros alone
 
 
+def _weak_assoc_sides(space, u1, u2, w, window):
+    """(x0+x2)^P times the iterate expansion and (x0+x2)^P times the
+    re-centered product expansion (the A factors moved from y+x to x+y, the
+    B factors left at the shift variable y), on the (x, y) window."""
+    msum = sum(-l - 1 for _, l in u1)
+    P = (max((len(wd) and max(0, sum(-2 * l - 1 for _, l in wd))) for wd in w.terms) if w.terms else 0)
+    P = (P + 2 * msum + 2 * len(u1)) // 2
+    it = wick_iterate(space, u1, u2)
+    prod = NOExpr(
+        [
+            (c, tuple(f._replace(var="x+y") if f.var == "y+x" else f for f in fs))
+            for c, fs in it.terms
+        ]
+    )
+    intervals = tuple((lo - P, hi) for lo, hi in window)
+    (lox, hix), (loy, hiy) = window
+
+    def times_power(grid):
+        out = {}
+        for (a, b), vec in grid.items():
+            for i in range(P + 1):
+                cell = (a + P - i, b + i)
+                if lox <= cell[0] <= hix and loy <= cell[1] <= hiy:
+                    cur = out.get(cell)
+                    s = (cur + vec.scale(comb(P, i))) if cur is not None else vec.scale(comb(P, i))
+                    if s:
+                        out[cell] = s
+                    else:
+                        out.pop(cell, None)
+        return out
+
+    return tuple(times_power(noexpr_apply(space, e, w, ("x", "y"), intervals)) for e in (it, prod))
+
+
 def test_closed_form_weak_associativity():
     # (x0+x2)^P times the re-centered product expansion equals
     # (x0+x2)^P times the iterate expansion, cellwise
     rng = random.Random(53)
-    lo, hi = -4, 4
     for _ in range(3):
         u1 = random_word(rng, SPACE, 4)
         u2 = random_word(rng, SPACE, 4)
         w = random_state(rng, SPACE, 2)
-        msum = sum(-l - 1 for _, l in u1)
-        P = (max((len(wd) and max(0, sum(-2 * l - 1 for _, l in wd))) for wd in w.terms) if w.terms else 0)
-        P = (P + 2 * msum + 2 * len(u1)) // 2
-        it = wick_iterate(SPACE, u1, u2)
-        # iterate: A factors at y+x; product side re-centers them at x+y
-        prod = NOExpr(
-            [
-                (c, tuple(f._replace(var="x+y") if f.var == "y+x" else f for f in fs))
-                for c, fs in it.terms
-            ]
-        )
-        intervals = ((lo - P, hi), (lo - P, hi))
-        g_it = noexpr_apply(SPACE, it, w, ("x", "y"), intervals)
-        g_pr = noexpr_apply(SPACE, prod, w, ("x", "y"), intervals)
+        lhs, rhs = _weak_assoc_sides(SPACE, u1, u2, w, ((-4, 4), (-4, 4)))
+        assert lhs == rhs
 
-        def times_power(grid):
-            out = {}
-            for (a, b), vec in grid.items():
-                for i in range(P + 1):
-                    cell = (a + P - i, b + i)
-                    if lo <= cell[0] <= hi and lo <= cell[1] <= hi:
-                        cur = out.get(cell)
-                        s = (cur + vec.scale(comb(P, i))) if cur is not None else vec.scale(comb(P, i))
-                        if s:
-                            out[cell] = s
-                        else:
-                            out.pop(cell, None)
-            return out
 
-        assert times_power(g_it) == times_power(g_pr)
+# windows that leave out the origin in one variable or both
+OFF_CENTRE = (((2, 5), (-6, -2)), ((-7, -3), (1, 4)), ((-2, 6), (3, 6)), ((0, 0), (-5, 5)))
+RATIONAL_SPACE = HSpace(
+    2,
+    [
+        [0, Fraction(-5, 7), Fraction(1, 2), 0],
+        [Fraction(-5, 7), 0, 0, Fraction(2, 3)],
+        [Fraction(1, 2), 0, 0, Fraction(1, 3)],
+        [0, Fraction(2, 3), Fraction(1, 3), 0],
+    ],
+)
+
+
+@pytest.mark.parametrize("space", [SPACE, RATIONAL_SPACE], ids=["dual", "rational"])
+def test_wick_iterate_matches_iterate_series_off_centre(space):
+    # the re-centered factors' grid slots (base and shift) against the engine
+    rng = random.Random(67)
+    nonzero = 0
+    for _ in range(6):
+        u1 = random_word(rng, space, 4)
+        u2 = random_word(rng, space, 4)
+        v = random_state(rng, space, 3)
+        expr = wick_iterate(space, u1, u2)
+        for window in OFF_CENTRE:
+            box = Box(("x", "y"), window)
+            series = iterate_series(space, FockVector.word(u1), FockVector.word(u2), v, box)
+            closed = noexpr_apply(space, expr, v, ("x", "y"), window)
+            assert set(closed) <= set(box.cells())
+            for cell in box.cells():
+                want = series.coefficient(cell)
+                assert closed.get(cell, FockVector()) == want, (u1, u2, window, cell)
+                nonzero += bool(want)
+    assert nonzero
+
+
+@pytest.mark.parametrize("space", [SPACE, RATIONAL_SPACE], ids=["dual", "rational"])
+def test_closed_form_weak_associativity_off_centre(space):
+    # the x+y re-centring with B factors at its shift variable y
+    rng = random.Random(59)
+    nonzero = 0
+    for window in OFF_CENTRE:
+        for _ in range(2):
+            u1 = random_word(rng, space, 4)
+            u2 = random_word(rng, space, 4)
+            w = random_state(rng, space, 2)
+            lhs, rhs = _weak_assoc_sides(space, u1, u2, w, window)
+            assert lhs == rhs, (u1, u2, window)
+            nonzero += len(lhs) if u2 else 0
+    assert nonzero
 
 
 def test_wick_fuse_single_sided_sign_collapse():
