@@ -2,8 +2,9 @@
 
 A LaurentPoly is a finite table mapping integer exponent tuples to nonzero
 Fraction coefficients over a fixed ordered tuple of variables.  Exponents
-may be negative.  Truncated expansions carry their certified exponent box
-alongside (see Box); consumers must stay inside it.
+may be negative.  A LaurentPoly holds no box: a truncated expansion is
+certified only on the Box it was computed for, and `table[cell]` returns 0
+outside it, so consumers must keep that box themselves.
 """
 from __future__ import annotations
 
@@ -82,18 +83,6 @@ class LaurentPoly:
             else:
                 out.pop(cell, None)
         return LaurentPoly(self.vars, out)
-
-    def __neg__(self):
-        return LaurentPoly(self.vars, {cell: -c for cell, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, value) -> "LaurentPoly":
-        value = Fraction(value)
-        if not value:
-            return LaurentPoly(self.vars)
-        return LaurentPoly(self.vars, {cell: c * value for cell, c in self.coeffs.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.vars != other.vars:

@@ -343,9 +343,6 @@ class RationalFunction:
         )
         return RationalFunction._from_ints(variables, num, den, den_pow, den_diff)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         num = {cell: -c for cell, c in self.int_num.items()}
         return RationalFunction._raw(self.vars, num, self.int_den, dict(self.den_pow), dict(self.den_diff))
@@ -364,9 +361,6 @@ class RationalFunction:
         den_diff = {k: d1.get(k, 0) + d2.get(k, 0) for k in set(d1) | set(d2)}
         num = _poly_mul(self._embedded(variables), other._embedded(variables))
         return RationalFunction._from_ints(variables, num, self.int_den * other.int_den, den_pow, den_diff)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def scale(self, value) -> "RationalFunction":
         """Multiply by a scalar; a nonzero scalar keeps the normal form."""
@@ -423,19 +417,6 @@ class RationalFunction:
         return RationalFunction._from_ints(variables, num, self.int_den, den_pow, den_diff)
 
     # -- regional expansion ------------------------------------------------
-
-    def integer_summands(self, scale: int = 1):
-        """Yield (scale * integer coefficient, fixed exponent map) per
-        numerator term; the coefficients are over `int_den`.  Fixed
-        exponents fold the z_i^a denominator in, so they may be negative.
-        """
-        for cell, c in self.int_num.items():
-            fixed = {}
-            for v, e in zip(self.vars, cell):
-                e -= self.den_pow.get(v, 0)
-                if e:
-                    fixed[v] = e
-            yield c * scale, fixed
 
     def expand_region(self, order: Iterable[str], box_intervals) -> LaurentPoly:
         """Exact Laurent table in the region |o1| > |o2| > ..., on a box.
@@ -499,6 +480,8 @@ def region_cells(
     are chosen from the last region variable backwards: when a position is
     reached, every factor that lowers it is already chosen, so its budget
     bounds the choices there exactly and every leaf is within the caps.
+    A position that is no difference factor's inner variable may have the
+    cap `math.inf`, which keeps every cell.
     """
     nv = len(caps)
     members = [[] for _ in range(nv)]  # factors (outer, power, sign) by inner position

@@ -131,7 +131,7 @@ def series_into(
 
     for factors, scale in sources:
         # a factor may charge its exponent to several slots at once: the
-        # re-centered factors of wick._apply_shifted_term charge (w, base)
+        # re-centered factors of wick._apply_term charge (w, base)
         norm = tuple(
             (g, m, (var,) if isinstance(var, int) else tuple(var)) for g, m, var in factors
         )

@@ -26,7 +26,7 @@ folding the products (`noexpr_mul`) is kept as the slow oracle.
 from __future__ import annotations
 
 from itertools import combinations
-from math import lcm
+from math import inf, lcm
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .fock import FockVector, HSpace, Word, check_report
@@ -291,64 +291,31 @@ def noexpr_apply(
 ) -> Dict[Cell, FockVector]:
     """Exact windowed coefficients of an NOExpr applied to a state.
 
-    Coefficients with difference factors are region-expanded in the order
-    given (|order[0]| > ...); factors at a shifted variable "b+s" are
-    re-centered on the grid by the binomial rule for (b+s)^c, expanded in
-    nonnegative powers of s within the window budget.
+    Each term takes one route: floors of its factor exponents against v's
+    words; the Laurent cells of its coefficient that can reach the window,
+    region-expanded in the order given (|order[0]| > ...); one engine box
+    that covers every cell; one `series_into` call; and one pass that adds
+    each cell to each engine cell.  A term may hold factors at one shifted
+    variable "b+s", re-centered on the grid by the binomial rule for
+    (b+s)^c in nonnegative powers of s (see `_apply_term`).
 
     Every coefficient of the expression and of v is brought over one common
     denominator D, so the grid fold accumulates integers (exact Fractions
     under a non-integral Gram matrix) and divides by D once per entry.
     """
-    order = tuple(order)
     order_index = {name: i for i, name in enumerate(order)}
     los = [lo for lo, _ in intervals]
     his = [hi for _, hi in intervals]
     v_terms, D = integer_terms(v)
     Dc = lcm(*(rf.int_den for rf, _ in expr.terms))
     acc: Dict[Cell, Dict[Word, int]] = {}
-
     for coeff_rf, factors in expr.terms:
-        shifted = [f for f in factors if "+" in f.var]
-        if shifted and coeff_rf.den_diff:
-            raise NotImplementedError("shifted factors with difference kernels")
-        scale = Dc // coeff_rf.int_den
-        if shifted:
-            summands = coeff_rf.integer_summands(scale)
-            _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his, acc)
-        else:
-            _apply_plain_term(space, coeff_rf, scale, factors, v_terms, order_index, los, his, acc)
+        _apply_term(space, coeff_rf, Dc // coeff_rf.int_den, factors, v_terms, order_index, los, his, acc)
     return wrap_table(acc, D * Dc)
 
 
-def _apply_plain_term(space, coeff_rf, scale, factors, v_terms, order_index, los, his, acc):
-    nv = len(los)
-    engine_factors = tuple((f.gen, f.deriv, order_index[f.var]) for f in factors)
-    lows = _grid_lower_bounds(factors, order_index, nv, v_terms)
-    # enumerate the Laurent cells of the coefficient that can reach the window
-    cell_his = [hi - lw for hi, lw in zip(his, lows)]
-    rf_cells = region_cells(coeff_rf, order_index, cell_his, scale)
-    if not rf_cells:
-        return
-    box = []
-    for var in range(nv):
-        es = [cell[var] for cell in rf_cells]
-        lo = los[var] - max(es)
-        hi = his[var] - min(es)
-        if lo > hi:
-            return
-        box.append((lo, hi))
-    table: Dict[Cell, Dict[Word, int]] = {}
-    series_into(space, ((engine_factors, 1),), v_terms, tuple(box), table)
-    for ecell, c in rf_cells.items():
-        for tcell, row in table.items():
-            out = tuple(a + b for a, b in zip(ecell, tcell))
-            if all(l <= x <= h for x, l, h in zip(out, los, his)):
-                _table_add(acc, out, row, c)
-
-
-def _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his, acc):
-    """Evaluate a term whose re-centered factors sit at one base+shift pair.
+def _apply_term(space, coeff_rf, scale, factors, v_terms, order_index, los, his, acc):
+    """Add one term's window to `acc`, as ints over the common denominator.
 
     A factor at "b+s" charges its exponent to two grid slots: an auxiliary
     slot w, which keeps its total c for the substitution
@@ -359,42 +326,57 @@ def _apply_shifted_term(space, summands, factors, v_terms, order_index, los, his
     """
     nv = len(los)
     combos = {f.var for f in factors if "+" in f.var}
-    if len(combos) != 1:
+    if combos and coeff_rf.den_diff:
+        raise NotImplementedError("shifted factors with difference kernels")
+    if len(combos) > 1:
         raise NotImplementedError("one shifted variable pair per term")
-    combo = combos.pop()
-    base, shift = combo.split("+")
-    if base not in order_index or shift not in order_index:
-        raise ValueError(f"unknown shifted variable {combo!r}")
-    b, s, w = order_index[base], order_index[shift], nv
-    engine_factors = tuple(
-        (f.gen, f.deriv, (w, b) if f.var == combo else order_index[f.var]) for f in factors
-    )
-    # sharp floors of d_b, d_s and c: the walk never takes c below lw, since
-    # annihilators run first and creations only add
-    floors = _grid_lower_bounds(factors, {**order_index, combo: w}, nv + 1, v_terms)
-    lb, ls, lw = floors[b], floors[s], floors[w]
-
-    for c, fixed in summands:
-        fixed_vec = [0] * nv
-        for var, e in fixed.items():
-            fixed_vec[order_index[var]] = e
-        imax = his[s] - fixed_vec[s] - ls  # the largest power of s the split can add
-        cmax = his[b] - fixed_vec[b] - lb + imax
-        if imax < 0 or cmax < lw:
-            continue
-        box = [(lo - e, hi - e) for lo, hi, e in zip(los, his, fixed_vec)]
+    slots = floor_slots = order_index
+    if combos:
+        (combo,) = combos
+        base, shift = combo.split("+")
+        if base not in order_index or shift not in order_index:
+            raise ValueError(f"unknown shifted variable {combo!r}")
+        b, s = order_index[base], order_index[shift]
+        slots = {**order_index, combo: (nv, b)}
+        floor_slots = {**order_index, combo: nv}
+    # sharp floors of each slot (and of c): the walk never takes a total
+    # below its floor, since annihilators run first and creations only add
+    floors = _grid_lower_bounds(factors, floor_slots, nv + len(combos), v_terms)
+    caps = [hi - lw for hi, lw in zip(his, floors)]
+    if combos:
+        caps[b] = inf  # for c < 0 the split lowers the base by any power of s
+    cells = region_cells(coeff_rf, order_index, caps, scale)
+    if not cells:
+        return
+    box = []
+    for var in range(nv):
+        es = [cell[var] for cell in cells]
+        box.append((los[var] - max(es), his[var] - min(es)))
+    if combos:
+        imax = box[s][1] - floors[s]  # the largest power of s the split can add
+        box[s] = (floors[s], box[s][1])
         box[b] = (box[b][0], box[b][1] + imax)
-        box[s] = (ls, box[s][1])
-        box.append((lw, cmax))
-        table: Dict[Cell, Dict[Word, int]] = {}
-        series_into(space, ((engine_factors, 1),), v_terms, tuple(box), table)
-        for cell, row in table.items():
-            out = [x + e for x, e in zip(cell, fixed_vec)]
+        box.append((floors[nv], box[b][1] - floors[b]))
+    if any(lo > hi for lo, hi in box):
+        return
+    table: Dict[Cell, Dict[Word, int]] = {}
+    engine_factors = tuple((f.gen, f.deriv, slots[f.var]) for f in factors)
+    series_into(space, ((engine_factors, 1),), v_terms, tuple(box), table)
+    # slots the output window bounds directly; the split keeps b and s in it
+    direct = [var for var in range(nv) if not combos or var not in (b, s)]
+    for ecell, c in cells.items():
+        for tcell, row in table.items():
+            out = [x + e for x, e in zip(tcell, ecell)]
+            if any(not los[var] <= out[var] <= his[var] for var in direct):
+                continue
+            if not combos:
+                _table_add(acc, tuple(out), row, c)
+                continue
             # s^i b^(c-i) moves i from the base to the shift slot
             first = max(0, los[s] - out[s], out[b] - his[b])
             last = min(his[s] - out[s], out[b] - los[b])
             for i in range(first, last + 1):
-                cb = binom(cell[w], i)
+                cb = binom(tcell[nv], i)
                 if cb:
                     out_i = list(out)
                     out_i[s] += i

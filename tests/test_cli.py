@@ -220,6 +220,22 @@ def test_cli_check_reports_inconclusive(capsys):
     assert f"{passed} identities passed, {inconclusive} inconclusive, 0 failed" in capsys.readouterr().err
 
 
+def test_cli_check_exits_1_when_an_identity_fails(monkeypatch, capsys):
+    # the closed product form loses its last term
+    from fermifock import wick
+    from fermifock.wick import NOExpr
+
+    wick_product = wick.wick_product
+    monkeypatch.setattr(wick, "wick_product", lambda *a: NOExpr(wick_product(*a).terms[:-1]))
+    argv = ["check", "--suite", "wick", "--r", "1", "--s", "1", "--seed", "1", "--window=-3,3"]
+    assert main(["--json", *argv]) == 1
+    statuses = {r["identity"]: r["status"] for r in _records(capsys.readouterr().out)}
+    assert statuses["product_closed_form_r1_s1"] == "fail"
+    assert statuses["iterate_closed_form_r1_s1"] == "pass"
+    assert main(argv) == 1
+    assert f"{list(statuses.values()).count('fail')} failed" in capsys.readouterr().err
+
+
 def test_cli_check_delta_reports_zero_window_inconclusive(capsys):
     argv = ["--json", "check", "--suite", "delta", "--seed", "0", "--window=40,41"]
     assert main(argv) == 0

@@ -1,5 +1,6 @@
 """One report shape and one status rule for every identity check: each
 library check says `inconclusive` when it compared nothing but zeros."""
+from fermifock import delta, straightening, vertex, wick
 from fermifock.delta import (
     DeltaCoeffs,
     check_contraction_numbers,
@@ -10,7 +11,7 @@ from fermifock.fock import FockVector, HSpace, check_report
 from fermifock.laurent import Box
 from fermifock.straightening import check_confluence
 from fermifock.vertex import check_axioms, check_weak_associativity
-from fermifock.wick import check_closed_forms
+from fermifock.wick import NOExpr, check_closed_forms
 
 SPACE = HSpace(2)
 E1, E2, F1, F2 = 0, 1, 2, 3
@@ -77,3 +78,52 @@ def test_every_check_passes_where_it_compares_nonzero_values():
     for report in reports:
         assert KEYS <= set(report), report
         assert report["status"] == "pass" and 0 < report["nonzero"] <= report["compared"], report
+
+
+def test_every_check_fails_when_one_route_is_perturbed(monkeypatch):
+    # each report passes as it is, then fails once one of its routes is wrong
+    u1, u2 = ((E1, -1),), ((F1, -1),)
+    v = FockVector.word(((E2, -1),))
+    box = Box(("x", "y"), ((-3, 3), (-3, 3)))
+    C = DeltaCoeffs.default()
+    doubled = DeltaCoeffs({(0, 1): 2})
+    pair = FockVector.word(((E1, -1), (F1, -2)))
+    wick_product, d_op, t_number_alt = wick.wick_product, vertex.d_op, delta.t_number_alt
+    exp_delta, pbw_normal_form = delta.exp_delta, straightening.pbw_normal_form
+
+    def rng_dependent(space, word, rng):
+        return {w: c * rng.randrange(2, 99) for w, c in pbw_normal_form(space, word, rng).items()}
+
+    def translation():
+        reports = check_axioms(SPACE, [v, FockVector.word(u1)], -3, 3)
+        return next(r for r in reports if r["identity"] == "translation")
+
+    cases = [
+        (
+            wick, "wick_product", lambda *a: NOExpr(wick_product(*a).terms[:-1]),
+            lambda: check_closed_forms(SPACE, u1, u2, v, box)[0],
+        ),
+        (vertex, "d_op", lambda w: d_op(w).scale(2), translation),
+        (
+            delta, "t_number_alt", lambda *a: t_number_alt(*a) + 1,
+            lambda: check_contraction_numbers(SPACE, C, [E1, F1], [0, 1], [(0, 1)]),
+        ),
+        (delta, "exp_delta_iterated", lambda *a: {}, lambda: check_exp_delta_routes(SPACE, C, [pair])),
+        # the exponential reads the default table, the right side twice its coefficients
+        (
+            delta, "exp_delta", lambda space, _, w: exp_delta(space, C, w),
+            lambda: check_exp_delta_neg_comm(SPACE, doubled, F1, 0, [pair], ((-4, 4), (-4, 4))),
+        ),
+        (
+            straightening, "pbw_normal_form", rng_dependent,
+            lambda: check_confluence(SPACE, [(((E1, 0), (F1, -1)), 1, 2)]),
+        ),
+    ]
+    for module, name, perturbed, report in cases:
+        before = report()
+        assert before["status"] == "pass" and not before["mismatches"], (name, before)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, perturbed)
+            after = report()
+        assert KEYS <= set(after), after
+        assert after["status"] == "fail" and after["mismatches"], (name, after)

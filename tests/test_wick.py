@@ -169,11 +169,7 @@ def test_closed_forms_match_series_under_rational_gram():
         v = FockVector({word(i): c for i, c in enumerate((Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7)))})
         for series_of, closed_of in cases:
             expr = closed_of(space, u1, u2)
-            rational_kernels += any(
-                Fraction(c, rf.int_den).denominator > 1
-                for rf, _ in expr.terms
-                for c, _ in rf.integer_summands()
-            )
+            rational_kernels += any(rf.int_den > 1 for rf, _ in expr.terms)
             series = series_of(space, FockVector.word(u1), FockVector.word(u2), v, box)
             closed = noexpr_apply(space, expr, v, ("x", "y"), box.intervals)
             assert series.coeffs == closed, (series_of.__name__, u1, u2)
@@ -347,7 +343,13 @@ def test_closed_form_weak_associativity():
 
 
 # windows that leave out the origin in one variable or both
-OFF_CENTRE = (((2, 5), (-6, -2)), ((-7, -3), (1, 4)), ((-2, 6), (3, 6)), ((0, 0), (-5, 5)))
+OFF_CENTRE = (
+    ((2, 5), (-6, -2)),
+    ((-7, -3), (1, 4)),
+    ((-2, 6), (3, 6)),
+    ((0, 0), (-5, 5)),
+    ((-2, 1), (-6, -3)),
+)
 RATIONAL_SPACE = HSpace(
     2,
     [
@@ -395,6 +397,53 @@ def test_closed_form_weak_associativity_off_centre(space):
             assert lhs == rhs, (u1, u2, window)
             nonzero += len(lhs) if u2 else 0
     assert nonzero
+
+
+def test_wick_iterate_below_the_base_floor():
+    # Y(e1(-1/2)|0>, y+x) f1(-1/2)|0> has the vacuum term (y+x)^-1, whose
+    # x^i y^(-1-i) reach every y below the floor of the factors at y alone
+    u1, v = ((E1, -1),), FockVector.word(((F1, -1),))
+    window = ((0, 3), (-6, -4))
+    closed = noexpr_apply(SPACE, wick_iterate(SPACE, u1, ()), v, ("x", "y"), window)
+    assert closed == {(3, -4): FockVector({(): -1})}
+    series = iterate_series(SPACE, FockVector.word(u1), FockVector.word(()), v, Box(("x", "y"), window))
+    assert series.coeffs == closed
+
+
+def test_noexpr_apply_shifted_term_with_several_coefficient_cells():
+    # one engine box covers both cells of x^-1 + 2 x^-2 y z^-2; the two
+    # single-cell terms, each on its own box, are the oracle
+    rng = random.Random(71)
+    variables = ("x", "y", "z")
+    one = RationalFunction.monomial(variables, {"x": -1})
+    two = RationalFunction.monomial(variables, {"x": -2, "y": 1, "z": -2}, 2)
+    window = ((-3, 2), (-4, 1), (-1, 1))
+    nonzero = 0
+    for _ in range(4):
+        factors = sum(
+            (word_factors(random_word(rng, SPACE, 2), var) for var in ("y+x", "y", "z")), ()
+        )
+        v = random_state(rng, SPACE, 3)
+        got = noexpr_apply(SPACE, NOExpr([(one + two, factors)]), v, variables, window)
+        want = noexpr_apply(SPACE, NOExpr([(one, factors), (two, factors)]), v, variables, window)
+        assert got == want
+        assert all(Box(variables, window).contains(cell) for cell in got)
+        nonzero += len(got)
+    assert nonzero
+
+
+def test_noexpr_apply_refuses_unsupported_shifted_terms():
+    v = FockVector.word(((F1, -1),))
+    kernel = RationalFunction.diff_inverse("x", "y", 1)
+    unit = RationalFunction.from_scalar(1)
+    for coeff, names, error in (
+        (kernel, ("y+x",), NotImplementedError),
+        (unit, ("y+x", "x+y"), NotImplementedError),
+        (unit, ("y+t",), ValueError),
+    ):
+        expr = NOExpr([(coeff, tuple(Factor(E1, 0, name) for name in names))])
+        with pytest.raises(error):
+            noexpr_apply(SPACE, expr, v, ("x", "y"), ((0, 1), (0, 1)))
 
 
 def test_wick_fuse_single_sided_sign_collapse():
