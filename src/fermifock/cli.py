@@ -366,6 +366,8 @@ def cmd_expand(args) -> int:
 def cmd_expdelta(args) -> int:
     space, coeffs = load_config(args.config)
     vec = parse_state(space, args.state)
+    if max(map(len, vec.terms), default=0) > 20:  # 2^(r-1) deleted sets, as many Pfaffian minors
+        raise UsageError("expdelta: a word is longer than the limit of 20 letters")
     closed = exp_delta(space, coeffs, vec)
     agree = closed == exp_delta_iterated(space, coeffs, vec)
     for e in sorted(closed, reverse=True):

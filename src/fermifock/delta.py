@@ -4,11 +4,11 @@ closed form of its exponential.
 The operator is sum_{i, m, n} C_mn e_i(m+1/2) fbar_i(n+1/2) x^(-m-n-1)
 over the polarized basis; antisymmetry C_mn = -C_nm makes it basis
 independent.  Acting on a word it deletes one pair of modes per step, so
-its exponential is a finite sum whose coefficients are the signed
-perfect-matching sums: Pfaffians of the bracket matrix, with two slower
-independent routes kept as oracles.  The bracket matrix is cleared to
-integers over one common denominator D, so the Pfaffian memo and both
-oracle routes hold ints and a value on 2t slots is divided by D^t once.
+its exponential is a finite sum whose coefficients are Pfaffians of the
+bracket matrix (two slower routes are kept as oracles).  States and
+brackets are cleared to ints over common denominators: the closed form
+adds Pfaffian minors, the iterated oracle is one int walk of pair
+deletions, and a result is divided by its denominator once.
 """
 from __future__ import annotations
 
@@ -18,11 +18,13 @@ from itertools import combinations, islice
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .fock import FockVector, HSpace, apply_mode, check_report
+from .fock import FockVector, HSpace, Mode, Word, apply_mode, check_report
 from .pfaffian import pfaffian
 from .scalars import binom
+from .vertex import integer_terms, wrap_table
 
 ExpGrid = Dict[int, FockVector]  # exponent of the formal variable -> state
+IntGrid = Dict[int, Dict[Word, int]]  # the same over a denominator kept aside
 
 
 class DeltaCoeffs:
@@ -73,13 +75,11 @@ class DeltaCoeffs:
         return isinstance(other, DeltaCoeffs) and self.entries == other.entries
 
 
-def _grid_add(grid: Dict, key, vec: FockVector) -> None:
-    """grid[key] += vec, dropping the key where the sum vanishes."""
-    s = grid.get(key, FockVector()) + vec
+def _add(row: Dict, word, value) -> None:
+    """row[word] += value in place, dropping the word where the sum vanishes."""
+    s = row.pop(word, 0) + value
     if s:
-        grid[key] = s
-    else:
-        grid.pop(key, None)
+        row[word] = s
 
 
 def bracket(space: HSpace, C: DeltaCoeffs, g1: int, m1: int, g2: int, m2: int) -> Fraction:
@@ -88,27 +88,31 @@ def bracket(space: HSpace, C: DeltaCoeffs, g1: int, m1: int, g2: int, m2: int) -
     return space.pair(g1, g2) * c if c else Fraction(0)
 
 
+def _delete_pairs(table: Dict[Mode, Dict[Mode, int]], grid: IntGrid) -> IntGrid:
+    """One application of the operator on an int grid: each position pair
+    p < q of a word whose letters have a nonzero bracket in `table` goes to
+    the word without both, its exponent lowered by n_p + n_q + 1, with sign
+    (-1)^(p+q) (positions 1-based in the sign)."""
+    out: IntGrid = {}
+    for e, row in grid.items():
+        for word, c in row.items():
+            r = len(word)
+            for p in range(r - 1):
+                brackets = table[word[p]]
+                ep = e + word[p][1] + 1  # -n_p = level + 1
+                for q in range(p + 1, r):
+                    x = brackets.get(word[q])
+                    if x:
+                        reduced = word[:p] + word[p + 1 : q] + word[q + 1 :]
+                        _add(out.setdefault(ep + word[q][1], {}), reduced, -c * x if (p + q) & 1 else c * x)
+    return out
+
+
 def delta_apply(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
     """One application: sum over position pairs p < q of
     (-1)^(p+q) C_{n_p n_q} (b_p, b_q) x^(-n_p-n_q-1) times the word with
-    both modes removed (positions 1-based in the sign)."""
-    out: ExpGrid = {}
-    for word, cw in vec.terms.items():
-        r = len(word)
-        for p in range(r):
-            gp, lp = word[p]
-            np_ = -lp - 1
-            for q in range(p + 1, r):
-                gq, lq = word[q]
-                nq = -lq - 1
-                coeff = bracket(space, C, gp, np_, gq, nq)
-                if not coeff:
-                    continue
-                sign = -1 if (p + q) & 1 else 1  # (-1)^((p+1)+(q+1))
-                exp = -np_ - nq - 1
-                reduced = word[:p] + word[p + 1 : q] + word[q + 1 :]
-                _grid_add(out, exp, FockVector.word(reduced, cw * coeff * sign))
-    return out
+    both modes removed (positions 1-based in the sign); the walk's t = 1."""
+    return delta_power_over_factorial(space, C, vec, 1)
 
 
 def _check_indices(indices: Sequence[int]) -> Tuple[int, ...]:
@@ -227,60 +231,69 @@ def t_number_pairings(
 
 def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
     """Closed-form exponential: delete 2t positions, weight by the total
-    contraction number and (-1)^(sum of 1-based positions)."""
-    out: ExpGrid = {}
-    for word, cw in vec.terms.items():
+    contraction number and (-1)^(sum of 1-based positions).  Values add up
+    as ints over Dv * D^top (D the lcm of the word kernels' denominators)."""
+    terms, Dv = integer_terms(vec)
+    kernels = {w: _bracket_kernel(space, C, [(g, -l - 1) for g, l in w]) for w in terms}
+    D = lcm(*(Dw for _, Dw in kernels.values()))
+    top = max(map(len, terms), default=0) // 2
+    rows: IntGrid = {0: {word: c * D**top for word, c in terms.items()}}
+    for word, c in terms.items():
         r = len(word)
-        levels = [-l - 1 for _, l in word]
-        _grid_add(out, 0, FockVector.word(word, cw))
+        kernel, Dw = kernels[word]
+        scale = [c * (D // Dw) ** t * D ** (top - t) for t in range(r // 2 + 1)]
         # every deleted set is a principal minor of one bracket Pfaffian
-        deleted = [
-            (idx, sum(1 << i for i in idx))
-            for t in range(1, r // 2 + 1)
-            for idx in combinations(range(r), 2 * t)
-        ]
-        kernel, D = _bracket_kernel(space, C, [(g, m) for (g, _), m in zip(word, levels)])
+        subsets = [idx for t in range(1, r // 2 + 1) for idx in combinations(range(r), 2 * t)]
+        deleted = [(idx, sum(1 << i for i in idx)) for idx in subsets]
         minors = pfaffian(kernel, [mask for _, mask in deleted], 1)
         for idx, mask in deleted:
-            if not minors[mask]:
+            if not (x := minors[mask]):
                 continue
-            tval = Fraction(minors[mask], D ** (len(idx) // 2))
             sign = -1 if (sum(idx) + len(idx)) & 1 else 1  # 1-based position sum
-            exp = -sum(levels[i] for i in idx) - len(idx) // 2
+            exp = sum(word[i][1] + 1 for i in idx) - len(idx) // 2  # -sum n_i - t
             keep = tuple(word[i] for i in range(r) if i not in idx)
-            _grid_add(out, exp, FockVector.word(keep, cw * tval * sign))
-    return out
+            _add(rows.setdefault(exp, {}), keep, sign * x * scale[len(idx) // 2])
+    return wrap_table(rows, Dv * D**top)
 
 
-def _delta_powers(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> Iterator[ExpGrid]:
-    """Yield the operator's powers over t! on `vec` for t = 0, 1, ...: each
-    applies the operator once to the previous one and divides by t.  Each
-    step deletes a pair, so the walk stops (at the first power that
-    vanishes) after at most half the longest word."""
-    grid: ExpGrid = {0: vec} if vec else {}
-    t = 0
-    while grid:
-        yield grid
+def _delta_powers(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> Iterator[Tuple[IntGrid, int]]:
+    """Yield the operator's powers over t! on `vec`, t = 0, 1, ..., as (int
+    grid, Dv * D^t * t!): the state over Dv, one `_delete_pairs` step per
+    power with table[a][b] = D * bracket(a, b) on the state's letters (and
+    (b, a) = -(a, b) by antisymmetry).  The walk stops at the first power
+    that vanishes, after at most half the longest word."""
+    terms, den = integer_terms(vec)
+    letters = list(dict.fromkeys(letter for word in terms for letter in word))
+    kernel, D = _bracket_kernel(space, C, [(g, -l - 1) for g, l in letters])
+    table: Dict[Mode, Dict[Mode, int]] = {a: {} for a in letters}
+    for p, row in kernel.items():
+        for q, x in row.items():
+            table[letters[p]][letters[q]], table[letters[q]][letters[p]] = x, -x
+    grid, t = {0: terms}, 0
+    while any(grid.values()):
+        yield grid, den
         t += 1
-        nxt: ExpGrid = {}
-        for e, v in grid.items():
-            for e2, v2 in delta_apply(space, C, v).items():
-                _grid_add(nxt, e + e2, v2)
-        grid = {e: v.scale(Fraction(1, t)) for e, v in nxt.items()}
+        den *= D * t
+        grid = _delete_pairs(table, grid)
 
 
 def delta_power_over_factorial(space: HSpace, C: DeltaCoeffs, vec: FockVector, t: int) -> ExpGrid:
     """Iterative oracle: the operator applied t times, divided by t!."""
-    return next(islice(_delta_powers(space, C, vec), t, None), {})
+    return wrap_table(*next(islice(_delta_powers(space, C, vec), t, None), ({}, 1)))
 
 
 def exp_delta_iterated(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
-    """Oracle route of `exp_delta`: the sum of the iterated powers over t!."""
-    out: ExpGrid = {}
-    for grid in _delta_powers(space, C, vec):
-        for e, w in grid.items():
-            _grid_add(out, e, w)
-    return out
+    """Oracle route of `exp_delta`: the sum of the iterated powers over t!,
+    accumulated as ints over the last power's denominator."""
+    powers = list(_delta_powers(space, C, vec))
+    top = powers[-1][1] if powers else 1
+    rows: IntGrid = {}
+    for grid, den in powers:
+        for e, row in grid.items():
+            acc = rows.setdefault(e, {})
+            for word, c in row.items():
+                _add(acc, word, c * (top // den))
+    return wrap_table(rows, top)
 
 
 def check_contraction_numbers(
@@ -334,12 +347,12 @@ def check_exp_delta_neg_comm(
     mismatches = []
     nonzero = 0
     for si, v in enumerate(samples):
-        lhs: Dict[Tuple[int, int], FockVector] = {}
-        rhs: Dict[Tuple[int, int], FockVector] = {}
+        lhs, rhs = {}, {}  # (ex, ey) -> {word: coefficient}
 
         def add(table, ex, ey, vec, coeff):
-            if vec and coeff and lox <= ex <= hix and loy <= ey <= hiy:
-                _grid_add(table, (ex, ey), vec.scale(coeff))
+            if lox <= ex <= hix and loy <= ey <= hiy:
+                for w, c in vec.terms.items():
+                    _add(table.setdefault((ex, ey), {}), w, c * coeff)
 
         exp_v = exp_delta(space, C, v)
         # exp(D(y)) a^(m)(x)^- v  minus  a^(m)(x)^- exp(D(y)) v
@@ -359,10 +372,10 @@ def check_exp_delta_neg_comm(
                 continue
             for ey, w in exp_v.items():
                 add(rhs, alpha - m, ey - beta - alpha - 1, apply_mode(space, (gen, beta), w), cba * cb)
-        cells = set(lhs) | set(rhs)
+        cells = {cell for table in (lhs, rhs) for cell, row in table.items() if row}
         nonzero += len(cells)
         for cell in cells:
-            if lhs.get(cell, FockVector()) != rhs.get(cell, FockVector()):
+            if lhs.get(cell, {}) != rhs.get(cell, {}):
                 mismatches.append((si, cell))
     compared = len(samples) * (hix - lox + 1) * (hiy - loy + 1)
     return check_report(

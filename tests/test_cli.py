@@ -191,6 +191,24 @@ def test_cli_expdelta_vacuum():
     assert {"exponent": 0, "state": "|0>"} in lines
 
 
+def test_cli_expdelta_refuses_words_above_the_letter_limit(monkeypatch, capsys):
+    """A word of r letters has 2^(r-1) deleted sets; above 20 letters the
+    command exits 2 before any Pfaffian or pair-deletion work starts."""
+    import fermifock.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "exp_delta", lambda *a: calls.append("closed") or {})
+    monkeypatch.setattr(cli, "exp_delta_iterated", lambda *a: calls.append("iterated") or {})
+    letter = "e1(-1/2) f1(-3/2) "
+    for state in (letter * 10 + "e1(-1/2) |0>", "|0> + " + letter * 11 + "|0>"):
+        assert main(["--json", "expdelta", state]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and "limit of 20 letters" in out.err
+    assert calls == []
+    assert main(["--json", "expdelta", letter * 10 + "|0>"]) == 0  # 20 letters pass the guard
+    assert calls == ["closed", "iterated"]
+
+
 def test_main_function_direct():
     assert main(["--json", "check", "--suite", "pbw", "--seed", "1"]) == 0
 
@@ -279,7 +297,7 @@ def test_cli_check_axioms_window_without_zero_is_inconclusive(capsys):
 
 
 def test_cli_check_delta_contraction_numbers_are_conclusive(capsys):
-    for seed in range(20):
+    for seed in range(100):
         assert main(["--json", "check", "--suite", "delta", "--seed", str(seed)]) == 0
         records = {r["identity"]: r for r in _records(capsys.readouterr().out)}
         assert records["contraction_number_routes"]["status"] == "pass", (seed, records)

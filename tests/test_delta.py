@@ -361,3 +361,118 @@ def test_integer_bracket_kernel_under_rational_gram_and_coefficients():
         assert got == exp_delta_iterated(space, C, v)
         assert any(c.denominator > 1 for w in got.values() for c in w.terms.values())
         assert all(type(c) is Fraction for w in got.values() for c in w.terms.values())
+
+
+# -- the Fraction route that the int walk replaced, kept as a reference --------
+
+
+def _fraction_grid_add(grid, key, vec):
+    s = grid.get(key, FockVector()) + vec
+    if s:
+        grid[key] = s
+    else:
+        grid.pop(key, None)
+
+
+def _fraction_delta_apply(space, C, vec):
+    """One application with one FockVector per deleted pair, summed by
+    FockVector.__add__."""
+    out = {}
+    for word, cw in vec.terms.items():
+        r = len(word)
+        for p in range(r):
+            gp, lp = word[p]
+            np_ = -lp - 1
+            for q in range(p + 1, r):
+                gq, lq = word[q]
+                nq = -lq - 1
+                coeff = bracket(space, C, gp, np_, gq, nq)
+                if not coeff:
+                    continue
+                sign = -1 if (p + q) & 1 else 1
+                reduced = word[:p] + word[p + 1 : q] + word[q + 1 :]
+                _fraction_grid_add(out, -np_ - nq - 1, FockVector.word(reduced, cw * coeff * sign))
+    return out
+
+
+def _fraction_powers(space, C, vec):
+    """The powers over t!: one Fraction application per power, divided by t."""
+    grid = {0: vec} if vec else {}
+    t = 0
+    while grid:
+        yield grid
+        t += 1
+        nxt = {}
+        for e, v in grid.items():
+            for e2, v2 in _fraction_delta_apply(space, C, v).items():
+                _fraction_grid_add(nxt, e + e2, v2)
+        grid = {e: v.scale(Fraction(1, t)) for e, v in nxt.items()}
+
+
+def _rational_gram_space(rng, M=2):
+    while True:
+        dim = 2 * M
+        g = [[Fraction(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                g[i][j] = g[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        try:
+            return HSpace(M, g)
+        except ValueError:
+            continue
+
+
+def _assert_clean(grid):
+    """Exact Fractions, no zero coefficient and no empty exponent key."""
+    for w in grid.values():
+        assert w.terms and all(type(c) is Fraction and c for c in w.terms.values()), grid
+
+
+def test_int_walk_matches_the_fraction_route():
+    """The int walk and the int closed form against the Fraction route on
+    multi-word rational states, rational Gram matrices and rational C, and
+    on states whose deletions cancel, exponent by exponent."""
+    rng = random.Random(131)
+    cases = []
+    for _ in range(60):
+        space = _rational_gram_space(rng, rng.randint(1, 2))
+        C = DeltaCoeffs({(m, n): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5))
+                         for m in range(3) for n in range(m + 1, 3) if rng.random() < 0.7})
+        v = FockVector()
+        for _ in range(rng.randint(1, 3)):
+            word = tuple((rng.randrange(space.dim), -rng.randint(1, 3)) for _ in range(rng.randint(0, 7)))
+            v = v + FockVector.word(word, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        cases.append((space, C, v))
+    # the pair (e1, f1) deleted from two orders of one word: every deletion cancels
+    a, b, c = (E1, -1), (F1, -2), (E2, -1)
+    cases.append((SPACE, C01, FockVector.word((a, b, c)) - FockVector.word((c, a, b))))
+    # the t = 2 deletion of a long word against the t = 1 deletion of a short
+    # one, both the vacuum at exponent -4
+    C012 = DeltaCoeffs({(0, 1): Fraction(1), (1, 2): Fraction(2, 3)})
+    long_, short = ((E1, -1), (F1, -2), (E2, -1), (F2, -2)), ((E1, -2), (F1, -3))
+    full = list(_fraction_powers(SPACE, C012, FockVector.word(long_)))[2][-4].terms[()]
+    one = list(_fraction_powers(SPACE, C012, FockVector.word(short)))[1][-4].terms[()]
+    cases.append((SPACE, C012, FockVector.word(long_, one) - FockVector.word(short, full)))
+    deep = 0
+    for space, C, v in cases:
+        powers = list(_fraction_powers(space, C, v))
+        deep += len(powers) > 2
+        total = {}
+        for grid in powers:
+            for e, w in grid.items():
+                _fraction_grid_add(total, e, w)
+        got = {
+            "exp_delta": exp_delta(space, C, v),
+            "exp_delta_iterated": exp_delta_iterated(space, C, v),
+            "delta_apply": delta_apply(space, C, v),
+        }
+        assert got["exp_delta"] == got["exp_delta_iterated"] == total
+        assert got["delta_apply"] == _fraction_delta_apply(space, C, v)
+        for t in range(4):
+            got[t] = delta_power_over_factorial(space, C, v, t)
+            assert got[t] == (powers[t] if t < len(powers) else {}), t
+        for grid in got.values():
+            _assert_clean(grid)
+    assert deep >= 10, deep
+    assert exp_delta(*cases[-2]) == {0: cases[-2][2]} and delta_apply(*cases[-2]) == {}
+    assert -4 not in exp_delta(*cases[-1]) and -4 in delta_power_over_factorial(*cases[-1], 2)
