@@ -229,19 +229,24 @@ def theta(vec: FockVector) -> FockVector:
     return FockVector({w: -c if parity(w) else c for w, c in vec.terms.items()})
 
 
-def d_op(vec: FockVector) -> FockVector:
-    """Translation generator: lowers each mode level once, weighted m+1."""
+def d_terms(terms: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
+    """Translation generator on a term map (int terms stay ints): lowers
+    each mode level once, weighted m+1."""
     out: Dict[Word, Fraction] = {}
-    for w, c in vec.terms.items():
+    for w, c in terms.items():
         for i, (g, level) in enumerate(w):
             w2 = w[:i] + ((g, level - 1),) + w[i + 1 :]
-            coeff = c * (-level)  # m + 1 = -level for level = -m-1
-            s = out.get(w2, 0) + coeff
+            s = out.get(w2, 0) + c * -level  # m + 1 = -level for level = -m-1
             if s:
                 out[w2] = s
             else:
                 out.pop(w2, None)
-    return FockVector(out)
+    return out
+
+
+def d_op(vec: FockVector) -> FockVector:
+    """Translation generator on a vector (see `d_terms`)."""
+    return FockVector(d_terms(vec.terms))
 
 
 def grading_op(vec: FockVector) -> FockVector:

@@ -7,7 +7,7 @@ from fermifock.delta import (
     check_exp_delta_neg_comm,
     check_exp_delta_routes,
 )
-from fermifock.fock import FockVector, HSpace, check_report
+from fermifock.fock import FockVector, HSpace, check_report, weight2
 from fermifock.laurent import Box
 from fermifock.straightening import check_confluence
 from fermifock.vertex import check_axioms, check_weak_associativity
@@ -88,22 +88,28 @@ def test_every_check_fails_when_one_route_is_perturbed(monkeypatch):
     C = DeltaCoeffs.default()
     doubled = DeltaCoeffs({(0, 1): 2})
     pair = FockVector.word(((E1, -1), (F1, -2)))
-    wick_product, d_op, t_number_alt = wick.wick_product, vertex.d_op, delta.t_number_alt
+    wick_product, d_terms, t_number_alt = wick.wick_product, vertex.d_terms, delta.t_number_alt
     exp_delta, pbw_normal_form = delta.exp_delta, straightening.pbw_normal_form
 
     def rng_dependent(space, word, rng):
         return {w: c * rng.randrange(2, 99) for w, c in pbw_normal_form(space, word, rng).items()}
 
-    def translation():
+    def axiom(name):
         reports = check_axioms(SPACE, [v, FockVector.word(u1)], -3, 3)
-        return next(r for r in reports if r["identity"] == "translation")
+        return next(r for r in reports if r["identity"] == name)
 
     cases = [
         (
             wick, "wick_product", lambda *a: NOExpr(wick_product(*a).terms[:-1]),
             lambda: check_closed_forms(SPACE, u1, u2, v, box)[0],
         ),
-        (vertex, "d_op", lambda w: d_op(w).scale(2), translation),
+        # both int routes of check_axioms: the translation generator on term
+        # maps, and the doubled grading, which scales a word by weight2
+        (
+            vertex, "d_terms", lambda t: {w: 2 * c for w, c in d_terms(t).items()},
+            lambda: axiom("translation"),
+        ),
+        (vertex, "weight2", lambda word: weight2(word) + 1, lambda: axiom("grading_commutator")),
         (
             delta, "t_number_alt", lambda *a: t_number_alt(*a) + 1,
             lambda: check_contraction_numbers(SPACE, C, [E1, F1], [0, 1], [(0, 1)]),

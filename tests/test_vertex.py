@@ -10,6 +10,7 @@ from fermifock.fock import (
     HSpace,
     apply_mode,
     apply_modes,
+    check_report,
     d_op,
     grading_op,
     random_state,
@@ -250,6 +251,128 @@ def test_check_axioms_on_seeded_states():
     assert [r["identity"] for r in reports] == names
     for r in reports:
         assert r["status"] == "pass" and 0 < r["nonzero"] <= r["compared"], r
+
+
+def _axiom_reports_by_vectors(space, samples, lo, hi, d=d_op, grading=grading_op):
+    """The FockVector route of check_axioms: y_series on FockVectors, the
+    translation generator `d` and the grading `grading` on FockVectors, and
+    sums and scales of FockVectors with Fraction coefficients."""
+    pairs = [(samples[i], samples[(i + 1) % len(samples)]) for i in range(len(samples))]
+    bases = [y_series(space, u, v, lo, hi + 1) for u, v in pairs]
+    window = range(lo, hi + 1)
+    vac = FockVector.vacuum()
+
+    def report(name, equations):
+        mismatches, compared, nonzero = [], 0, 0
+        for label, lhs, rhs in equations:
+            compared += 1
+            if rhs is None:
+                nonzero += 1
+                rhs = FockVector()
+            elif lhs or rhs:
+                nonzero += 1
+            if lhs != rhs:
+                mismatches.append(label)
+        return check_report(name, mismatches, compared, nonzero)
+
+    def identity():
+        for _, v in pairs:
+            series = y_series(space, vac, v, lo, hi)
+            for k in window:
+                yield ("identity", k), series.coefficient((k,)), v if k == 0 else FockVector()
+
+    def creation():
+        for u, _ in pairs:
+            series = y_series(space, u, vac, lo, hi)
+            for k in range(lo, min(0, hi + 1)):
+                yield ("regular_at_zero", k), series.coefficient((k,)), None
+            if lo <= 0 <= hi:
+                yield ("limit_is_state", 0), series.coefficient((0,)), u
+
+    def grading_commutator():
+        for (u, v), base in zip(pairs, bases):
+            on_dv = y_series(space, u, grading(v), lo, hi)
+            of_du = y_series(space, grading(u), v, lo, hi)
+            for k in window:
+                yk = base.coefficient((k,))
+                lhs = grading(yk) - on_dv.coefficient((k,))
+                yield (k,), lhs, yk.scale(k) + of_du.coefficient((k,))
+
+    def translation():
+        for (u, v), base in zip(pairs, bases):
+            via_d = y_series(space, d(u), v, lo, hi)
+            on_dv = y_series(space, u, d(v), lo, hi)
+            for k in window:
+                dk = via_d.coefficient((k,))
+                yield ("derivative", k), base.coefficient((k + 1,)).scale(k + 1), dk
+                yield ("commutator", k), dk, d(base.coefficient((k,))) - on_dv.coefficient((k,))
+
+    def lower_truncation():
+        for (u, v), base in zip(pairs, bases):
+            top = max(map(weight2, u.terms), default=0) + max(map(weight2, v.terms), default=0)
+            for k in range(lo, min(-(top // 2), hi + 1)):
+                yield (k,), base.coefficient((k,)), None
+
+    return [
+        report("identity", identity()),
+        report("creation", creation()),
+        report("grading_commutator", grading_commutator()),
+        report("translation", translation()),
+        report("lower_truncation", lower_truncation()),
+    ]
+
+
+def test_integer_axiom_checks_match_fock_vector_route(monkeypatch):
+    """check_axioms compares int rows over one denominator per sample pair,
+    with the grading sides doubled; the FockVector route it replaced gives
+    the same reports on the default config (M = 2, max weight 2), on M = 1
+    at max weight 1, and on a rational Gram matrix with mixed-denominator
+    states, over windows around 0, entirely below 0 and entirely above 0
+    (where identity and creation compare nothing nonzero).  With the translation generator or the
+    grading perturbed alike on both routes, the reports fail alike."""
+    configs = [
+        (SPACE, lambda rng: [random_state(rng, SPACE, 4) for _ in range(8)]),
+        (HSpace(1), lambda rng: [random_state(rng, HSpace(1), 2) for _ in range(8)]),
+        (HSpace(2, RATIONAL_GRAM), lambda rng: [_mixed_state(rng, 4, 2) for _ in range(4)]),
+    ]
+    windows = ((-6, 6), (-8, -1), (2, 5), (9, 10))
+    d, doubled = vertex.d_terms, vertex.weight2
+    statuses = {}
+    for space, draw in configs:
+        for seed in range(4):
+            samples = draw(random.Random(seed))
+            for lo, hi in windows:
+                reports = check_axioms(space, samples, lo, hi)
+                assert reports == _axiom_reports_by_vectors(space, samples, lo, hi), (seed, lo, hi)
+                for r in reports:
+                    statuses[r["status"]] = statuses.get(r["status"], 0) + 1
+            with monkeypatch.context() as patch:
+                patch.setattr(vertex, "d_terms", lambda t: {w: 2 * c for w, c in d(t).items()})
+                patch.setattr(vertex, "weight2", lambda word: doubled(word) + 1)
+                reports = check_axioms(space, samples, -3, 3)
+            want = _axiom_reports_by_vectors(
+                space, samples, -3, 3,
+                d=lambda vec: d_op(vec).scale(2),
+                grading=lambda vec: grading_op(vec) + vec.scale(Fraction(1, 2)),
+            )
+            # the patched weight2 also moves the lower truncation bound
+            assert reports[:4] == want[:4], seed
+            assert [r["status"] for r in reports[2:4]] == ["fail", "fail"], reports
+    assert statuses["pass"] and statuses["inconclusive"] and not statuses.get("fail"), statuses
+
+
+def test_check_axioms_makes_seven_engine_calls_per_sample_pair(monkeypatch):
+    calls = []
+    engine = vertex.series_into
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(vertex, "series_into", counted)
+    samples = [random_state(random.Random(5), SPACE, 4) for _ in range(5)]
+    check_axioms(SPACE, samples, -4, 4)
+    assert len(calls) == 7 * len(samples)
 
 
 def test_weak_associativity_base_case():
