@@ -311,6 +311,9 @@ def cmd_check(args) -> int:
     for flag in ("r", "s", "max_weight"):
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative")
+    for flag in ("r", "s"):
+        if getattr(args, flag) > 4:  # the wick suite's work grows steeply with the word lengths
+            raise UsageError(f"--{flag} = {getattr(args, flag)} is above the limit 4")
     rep = Reporter(args.json)
     rng = random.Random(args.seed)
     max_w2 = 2 * args.max_weight

@@ -18,10 +18,9 @@ from itertools import combinations, islice
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .fock import FockVector, HSpace, Mode, Word, apply_mode, check_report
+from .fock import FockVector, HSpace, Mode, Word, apply_mode, check_report, wrap_table
 from .pfaffian import pfaffian
-from .scalars import binom
-from .vertex import integer_terms, wrap_table
+from .scalars import add_into, add_term, binom, clear_denominators
 
 ExpGrid = Dict[int, FockVector]  # exponent of the formal variable -> state
 IntGrid = Dict[int, Dict[Word, int]]  # the same over a denominator kept aside
@@ -75,13 +74,6 @@ class DeltaCoeffs:
         return isinstance(other, DeltaCoeffs) and self.entries == other.entries
 
 
-def _add(row: Dict, word, value) -> None:
-    """row[word] += value in place, dropping the word where the sum vanishes."""
-    s = row.pop(word, 0) + value
-    if s:
-        row[word] = s
-
-
 def bracket(space: HSpace, C: DeltaCoeffs, g1: int, m1: int, g2: int, m2: int) -> Fraction:
     """Contraction scalar of two creation slots: (a, b) C_{m1 m2}."""
     c = C(m1, m2)
@@ -104,7 +96,7 @@ def _delete_pairs(table: Dict[Mode, Dict[Mode, int]], grid: IntGrid) -> IntGrid:
                     x = brackets.get(word[q])
                     if x:
                         reduced = word[:p] + word[p + 1 : q] + word[q + 1 :]
-                        _add(out.setdefault(ep + word[q][1], {}), reduced, -c * x if (p + q) & 1 else c * x)
+                        add_term(out.setdefault(ep + word[q][1], {}), reduced, -c * x if (p + q) & 1 else c * x)
     return out
 
 
@@ -128,16 +120,13 @@ def _bracket_kernel(space: HSpace, C: DeltaCoeffs, slots: Sequence[Tuple[int, in
     """Nonzero brackets of (gen, level) slots p < q as an integer Pfaffian
     kernel: (kernel, D) with kernel[p][q] = D * bracket and D the least
     common denominator.  A minor on 2t slots is then D^t times its value."""
-    brackets: Dict[Tuple[int, int], Fraction] = {}
-    for p, (g1, m1) in enumerate(slots):
-        for q in range(p + 1, len(slots)):
-            b = bracket(space, C, g1, m1, *slots[q])
-            if b:
-                brackets[(p, q)] = b
-    D = lcm(*(b.denominator for b in brackets.values()))
+    n = len(slots)
+    pairs = ((p, q) for p in range(n) for q in range(p + 1, n))
+    brackets = {(p, q): b for p, q in pairs if (b := bracket(space, C, *slots[p], *slots[q]))}
+    ints, D = clear_denominators(brackets)
     kernel: Dict[int, Dict[int, int]] = {}
-    for (p, q), b in brackets.items():
-        kernel.setdefault(p, {})[q] = b.numerator * (D // b.denominator)
+    for (p, q), x in ints.items():
+        kernel.setdefault(p, {})[q] = x
     return kernel, D
 
 
@@ -233,7 +222,7 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
     """Closed-form exponential: delete 2t positions, weight by the total
     contraction number and (-1)^(sum of 1-based positions).  Values add up
     as ints over Dv * D^top (D the lcm of the word kernels' denominators)."""
-    terms, Dv = integer_terms(vec)
+    terms, Dv = clear_denominators(vec.terms)
     kernels = {w: _bracket_kernel(space, C, [(g, -l - 1) for g, l in w]) for w in terms}
     D = lcm(*(Dw for _, Dw in kernels.values()))
     top = max(map(len, terms), default=0) // 2
@@ -252,7 +241,7 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
             sign = -1 if (sum(idx) + len(idx)) & 1 else 1  # 1-based position sum
             exp = sum(word[i][1] + 1 for i in idx) - len(idx) // 2  # -sum n_i - t
             keep = tuple(word[i] for i in range(r) if i not in idx)
-            _add(rows.setdefault(exp, {}), keep, sign * x * scale[len(idx) // 2])
+            add_term(rows.setdefault(exp, {}), keep, sign * x * scale[len(idx) // 2])
     return wrap_table(rows, Dv * D**top)
 
 
@@ -262,7 +251,7 @@ def _delta_powers(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> Iterator[Tu
     power with table[a][b] = D * bracket(a, b) on the state's letters (and
     (b, a) = -(a, b) by antisymmetry).  The walk stops at the first power
     that vanishes, after at most half the longest word."""
-    terms, den = integer_terms(vec)
+    terms, den = clear_denominators(vec.terms)
     letters = list(dict.fromkeys(letter for word in terms for letter in word))
     kernel, D = _bracket_kernel(space, C, [(g, -l - 1) for g, l in letters])
     table: Dict[Mode, Dict[Mode, int]] = {a: {} for a in letters}
@@ -290,9 +279,7 @@ def exp_delta_iterated(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGri
     rows: IntGrid = {}
     for grid, den in powers:
         for e, row in grid.items():
-            acc = rows.setdefault(e, {})
-            for word, c in row.items():
-                _add(acc, word, c * (top // den))
+            add_into(rows.setdefault(e, {}), row, top // den)
     return wrap_table(rows, top)
 
 
@@ -351,8 +338,7 @@ def check_exp_delta_neg_comm(
 
         def add(table, ex, ey, vec, coeff):
             if lox <= ex <= hix and loy <= ey <= hiy:
-                for w, c in vec.terms.items():
-                    _add(table.setdefault((ex, ey), {}), w, c * coeff)
+                add_into(table.setdefault((ex, ey), {}), vec.terms, coeff)
 
         exp_v = exp_delta(space, C, v)
         # exp(D(y)) a^(m)(x)^- v  minus  a^(m)(x)^- exp(D(y)) v

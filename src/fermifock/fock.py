@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .pfaffian import det
+from .scalars import add_into, add_term, format_rational
 
 Mode = Tuple[int, int]  # (generator index, level n) for h(n + 1/2)
 Word = Tuple[Mode, ...]
@@ -119,6 +120,13 @@ class FockVector:
         self.terms = table
 
     @classmethod
+    def _raw(cls, terms: Dict[Word, Fraction]) -> "FockVector":
+        """Wrap a term map that already holds only nonzero tuple keys."""
+        vec = cls.__new__(cls)
+        vec.terms = terms
+        return vec
+
+    @classmethod
     def vacuum(cls, coeff=1) -> "FockVector":
         return cls({VACUUM: Fraction(coeff)})
 
@@ -133,16 +141,7 @@ class FockVector:
         return isinstance(other, FockVector) and self.terms == other.terms
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        res = FockVector.__new__(FockVector)
-        res.terms = out
-        return res
+        return FockVector._raw(add_into(dict(self.terms), other.terms))
 
     def __neg__(self):
         return self.scale(-1)
@@ -152,9 +151,7 @@ class FockVector:
 
     def scale(self, value) -> "FockVector":
         value = Fraction(value)
-        res = FockVector.__new__(FockVector)
-        res.terms = {} if not value else {w: c * value for w, c in self.terms.items()}
-        return res
+        return FockVector._raw({w: c * value for w, c in self.terms.items()} if value else {})
 
     def items(self):
         """Terms in canonical order: word length first, then (gen, level) lex."""
@@ -163,8 +160,6 @@ class FockVector:
     def render(self, space: HSpace) -> str:
         if not self.terms:
             return "0"
-        from .scalars import format_rational
-
         parts = []
         for w, c in self.items():
             if c == 1:
@@ -198,21 +193,13 @@ def _annihilate_word(space: HSpace, gen: int, n: int, word: Word):
 def apply_mode(space: HSpace, mode: Mode, vec: FockVector) -> FockVector:
     """Act with one mode: creation prepends, annihilation contracts."""
     gen, level = mode
-    out: Dict[Word, Fraction] = {}
     if level < 0:
-        for w, c in vec.terms.items():
-            out[(mode,) + w] = c
-    else:
-        for w, c in vec.terms.items():
-            for s, w2 in _annihilate_word(space, gen, level, w):
-                t = out.get(w2, 0) + c * s
-                if t:
-                    out[w2] = t
-                else:
-                    out.pop(w2, None)
-    res = FockVector.__new__(FockVector)
-    res.terms = out
-    return res
+        return FockVector._raw({(mode,) + w: c for w, c in vec.terms.items()})
+    out: Dict[Word, Fraction] = {}
+    for w, c in vec.terms.items():
+        for s, w2 in _annihilate_word(space, gen, level, w):
+            add_term(out, w2, c * s)
+    return FockVector._raw(out)
 
 
 def apply_modes(space: HSpace, modes: Sequence[Mode], vec: FockVector) -> FockVector:
@@ -236,11 +223,7 @@ def d_terms(terms: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
     for w, c in terms.items():
         for i, (g, level) in enumerate(w):
             w2 = w[:i] + ((g, level - 1),) + w[i + 1 :]
-            s = out.get(w2, 0) + c * -level  # m + 1 = -level for level = -m-1
-            if s:
-                out[w2] = s
-            else:
-                out.pop(w2, None)
+            add_term(out, w2, c * -level)  # m + 1 = -level for level = -m-1
     return out
 
 
@@ -252,6 +235,23 @@ def d_op(vec: FockVector) -> FockVector:
 def grading_op(vec: FockVector) -> FockVector:
     """Scale each word by its weight."""
     return FockVector({w: c * Fraction(weight2(w), 2) for w, c in vec.terms.items()})
+
+
+def wrap_table(table: Dict, D: int) -> Dict:
+    """FockVectors of an accumulated table (cell -> int row) over the common
+    denominator D; empty rows are left out."""
+    out = {}
+    fracs: Dict[int, Fraction] = {}  # tables repeat few distinct values
+    for cell, row in table.items():
+        if row:
+            terms = {}
+            for w, c in row.items():
+                f = fracs.get(c)
+                if f is None:
+                    f = fracs[c] = Fraction(c, D)
+                terms[w] = f
+            out[cell] = FockVector._raw(terms)
+    return out
 
 
 def check_report(identity: str, mismatches: Sequence, compared: int, nonzero: int, **extra) -> dict:
@@ -293,13 +293,7 @@ def random_state(
     out: Dict[Word, Fraction] = {}
     for _ in range(nterms):
         w = random_word(rng, space, max_weight2)
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        if c:
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+        add_term(out, w, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     if not out:
         out[VACUUM] = Fraction(1)
     return FockVector(out)

@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, Tuple
 
+from .scalars import add_into, add_term
+
 Cell = Tuple[int, ...]
 
 
@@ -75,14 +77,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.vars != other.vars:
             raise ValueError("variable mismatch")
-        out = dict(self.coeffs)
-        for cell, c in other.coeffs.items():
-            s = out.get(cell, 0) + c
-            if s:
-                out[cell] = s
-            else:
-                out.pop(cell, None)
-        return LaurentPoly(self.vars, out)
+        return LaurentPoly(self.vars, add_into(dict(self.coeffs), other.coeffs))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.vars != other.vars:
@@ -90,12 +85,7 @@ class LaurentPoly:
         out: Dict[Cell, Fraction] = {}
         for c1, v1 in self.coeffs.items():
             for c2, v2 in other.coeffs.items():
-                cell = tuple(a + b for a, b in zip(c1, c2))
-                s = out.get(cell, 0) + v1 * v2
-                if s:
-                    out[cell] = s
-                else:
-                    out.pop(cell, None)
+                add_term(out, tuple(a + b for a, b in zip(c1, c2)), v1 * v2)
         return LaurentPoly(self.vars, out)
 
     def items(self):

@@ -29,7 +29,7 @@ from operator import add
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .laurent import Box, LaurentPoly
-from .scalars import binom, format_rational
+from .scalars import add_into, add_term, binom, clear_denominators, format_rational
 
 Cell = Tuple[int, ...]
 Poly = Dict[Cell, int]  # integer coefficients, zeros absent
@@ -41,19 +41,9 @@ def _var_key(name: str):
     return (len(name), name)
 
 
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for cell, c in b.items():
-        s = out.get(cell, 0) + c
-        if s:
-            out[cell] = s
-        else:
-            out.pop(cell, None)
-    return out
-
-
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
+    # inline, not scalars.add_term: zeros are dropped once, after the convolution
     get = out.get
     for c1, v1 in a.items():
         for c2, v2 in b.items():
@@ -149,13 +139,13 @@ def _divide_by_diff(a: Poly, i: int, j: int) -> Poly | None:
     quotient: Poly = {}
     carry: Poly = {}
     for k in range(top, 0, -1):
-        layer = _poly_add(by_deg.get(k, {}), carry)
+        layer = add_into(by_deg.get(k, {}), carry)
         for cell, c in layer.items():
             cell2 = list(cell)
             cell2[i] += k - 1
             quotient[tuple(cell2)] = c
         carry = {tuple(_bump(cell, j)): c for cell, c in layer.items()}
-    remainder = _poly_add(by_deg.get(0, {}), carry)
+    remainder = add_into(by_deg.get(0, {}), carry)
     if remainder:
         return None
     return quotient
@@ -177,11 +167,8 @@ class RationalFunction:
     __slots__ = ("vars", "int_num", "int_den", "den_pow", "den_diff")
 
     def __init__(self, variables: Iterable[str], num: Mapping, den_pow=None, den_diff=None):
-        coeffs = {tuple(c): Fraction(v) for c, v in num.items() if v}
-        den = lcm(*(v.denominator for v in coeffs.values()))
         self.vars = tuple(variables)
-        self.int_num: Poly = {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()}
-        self.int_den = den
+        self.int_num, self.int_den = clear_denominators({tuple(c): Fraction(v) for c, v in num.items() if v})
         self.den_pow: Dict[str, int] = dict(den_pow or {})
         self.den_diff: Dict[Tuple[str, str], int] = dict(den_diff or {})
         self._normalize()
@@ -337,8 +324,8 @@ class RationalFunction:
         den_pow = {v: max(p1.get(v, 0), p2.get(v, 0)) for v in set(p1) | set(p2)}
         den_diff = {k: max(d1.get(k, 0), d2.get(k, 0)) for k in set(d1) | set(d2)}
         den = lcm(self.int_den, other.int_den)
-        num = _poly_add(
-            self._lifted(variables, den, den_pow, den_diff),
+        num = add_into(
+            dict(self._lifted(variables, den, den_pow, den_diff)),
             other._lifted(variables, den, den_pow, den_diff),
         )
         return RationalFunction._from_ints(variables, num, den, den_pow, den_diff)
@@ -397,8 +384,7 @@ class RationalFunction:
             big = [0] * len(variables)
             for p, e in zip(pos, cell):
                 big[p] += e
-            key = tuple(big)
-            num[key] = num.get(key, 0) + c
+            add_term(num, tuple(big), c)
         den_pow: Dict[str, int] = {}
         for v, a in self.den_pow.items():
             nv = mapping.get(v, v)
@@ -413,7 +399,7 @@ class RationalFunction:
             if (nx, ny) != key:
                 sign *= (-1) ** b
             den_diff[key] = den_diff.get(key, 0) + b
-        num = {cell: sign * c for cell, c in num.items() if c}
+        num = {cell: sign * c for cell, c in num.items()}
         return RationalFunction._from_ints(variables, num, self.int_den, den_pow, den_diff)
 
     # -- regional expansion ------------------------------------------------
@@ -506,7 +492,7 @@ def region_cells(
             pos -= 1
         if pos < 0:
             key = tuple(cell)
-            out[key] = out.get(key, 0) + value
+            out[key] = out.get(key, 0) + value  # inline: the hottest write; zeros go at the end
             return
         if cell[pos] <= caps[pos]:
             assign(members[pos], 0, pos, caps[pos] - cell[pos], value)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .fock import HSpace, check_report
+from .scalars import add_term
 
 K = "k"
 Entry = Union[str, Tuple[int, int]]  # K or (gen, level)
@@ -94,19 +95,11 @@ def pbw_normal_form(
             c = pending.pop(w)
         spots = redexes(w)
         if not spots:
-            s = done.get(w, 0) + c
-            if s:
-                done[w] = s
-            else:
-                done.pop(w, None)
+            add_term(done, w, c)
             continue
         spot = spots[0] if rng is None else rng.choice(spots)
         for c2, w2 in rewrite_at(space, w, spot):
-            s = pending.get(w2, 0) + c * c2
-            if s:
-                pending[w2] = s
-            else:
-                pending.pop(w2, None)
+            add_term(pending, w2, c * c2)
     return done
 
 

@@ -11,15 +11,13 @@ nothing is approximated, and comparisons refuse cells outside the box.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import gt, le
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .fock import FockVector, HSpace, Mode, Word, check_report, d_terms, weight2
+from .fock import FockVector, HSpace, Mode, Word, check_report, d_terms, weight2, wrap_table
 from .laurent import Box
-from .scalars import binom
+from .scalars import add_into, binom, clear_denominators
 
 Cell = Tuple[int, ...]
 
@@ -68,12 +66,6 @@ def normal_order_modes(modes: Sequence[Mode]) -> Tuple[int, Tuple[Mode, ...]]:
     return sign, neg + pos
 
 
-def integer_terms(vec: FockVector) -> Tuple[Dict[Word, int], int]:
-    """Clear denominators: vec = terms / D with integer terms and D >= 1."""
-    D = lcm(*(c.denominator for c in vec.terms.values()))
-    return {w: c.numerator * (D // c.denominator) for w, c in vec.terms.items()}, D
-
-
 def series_into(
     space: HSpace,
     sources: Sequence[Tuple[Sequence[Factor], int]],
@@ -89,11 +81,11 @@ def series_into(
     exponent slot per variable) are complete on the given closed intervals.
 
     Integer contract: the target is an integer term map (see
-    `integer_terms`) and every scale an int.  Path coefficients are
+    `scalars.clear_denominators`) and every scale an int.  Path coefficients are
     products of binomials, signs and pairings, so the table accumulates
     plain ints; a non-integral Gram matrix makes them exact Fractions on the
     same path.  The caller divides its common denominator out once per
-    entry, in `wrap_table`.
+    entry, in `fock.wrap_table`.
 
     Each (source, target word, creation mask) first runs its annihilators
     against the target word.  Every annihilator removes a distinct letter
@@ -219,6 +211,7 @@ def series_into(
                     continue
                 for w, c, exps in states:
                     if all(map(le, los, exps)) and not any(map(gt, exps, his)):
+                        # inline, not scalars.add_term: the engine's hottest writes
                         row = table.setdefault(exps, {})
                         s = row.get(w, 0) + cv * c
                         if s:
@@ -264,6 +257,7 @@ def series_into(
                     key = (rest, built, w, e2)
                     below[key] = below.get(key, 0) + cc
                 else:
+                    # inline, not scalars.add_term: the engine's hottest writes
                     row = table.setdefault(e2, {})
                     word = built + w
                     s = row.get(word, 0) + cc
@@ -271,24 +265,6 @@ def series_into(
                         row[word] = s
                     else:
                         row.pop(word, None)
-
-
-def wrap_table(table: Dict[Cell, Dict[Word, int]], D: int) -> Dict[Cell, FockVector]:
-    """FockVectors of an accumulated table over the common denominator D."""
-    out: Dict[Cell, FockVector] = {}
-    fracs: Dict[int, Fraction] = {}  # tables repeat few distinct values
-    for cell, row in table.items():
-        if row:
-            terms = {}
-            for w, c in row.items():
-                f = fracs.get(c)
-                if f is None:
-                    f = fracs[c] = Fraction(c, D)
-                terms[w] = f
-            fv = FockVector.__new__(FockVector)
-            fv.terms = terms
-            out[cell] = fv
-    return out
 
 
 def ordered_factor_series(
@@ -300,7 +276,7 @@ def ordered_factor_series(
     """Windowed grid of a normal-ordered factor product applied to vec: the
     engine on one factor list, which tests compare with a mode-by-mode
     oracle."""
-    terms, D = integer_terms(vec)
+    terms, D = clear_denominators(vec.terms)
     table: Dict[Cell, Dict[Word, int]] = {}
     series_into(space, ((factors, 1),), terms, intervals, table)
     return wrap_table(table, D)
@@ -347,8 +323,8 @@ def _as_vector(u) -> FockVector:
 
 def y_series(space: HSpace, u, v, lo: int, hi: int, var: str = "x") -> WindowedSeries:
     """Windowed coefficients of the vertex operator of u acting on v."""
-    u_terms, Du = integer_terms(_as_vector(u))
-    v_terms, Dv = integer_terms(_as_vector(v))
+    u_terms, Du = clear_denominators(_as_vector(u).terms)
+    v_terms, Dv = clear_denominators(_as_vector(v).terms)
     table: Dict[Cell, Dict[Word, int]] = {}
     series_into(space, _sources(u_terms), v_terms, ((lo, hi),), table)
     return WindowedSeries(Box((var,), ((lo, hi),)), wrap_table(table, Du * Dv))
@@ -361,7 +337,7 @@ def y_coeff(space: HSpace, u, k: int, v) -> FockVector:
 
 def product_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
     """Coefficients of x^k1 y^k2 in the two-operator product acting on v."""
-    (t1, D1), (t2, D2), (tv, Dv) = (integer_terms(_as_vector(s)) for s in (u1, u2, v))
+    (t1, D1), (t2, D2), (tv, Dv) = (clear_denominators(_as_vector(s).terms) for s in (u1, u2, v))
     outer, inner = box.intervals
     grid = _product_grid(space, t1, t2, tv, inner, lambda k2: outer)
     return WindowedSeries(box, wrap_table(grid, D1 * D2 * Dv))
@@ -369,7 +345,7 @@ def product_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
 
 def iterate_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
     """Coefficients of x0^k1 x2^k2 of the iterated vertex operator on v."""
-    (t1, D1), (t2, D2), (tv, Dv) = (integer_terms(_as_vector(s)) for s in (u1, u2, v))
+    (t1, D1), (t2, D2), (tv, Dv) = (clear_denominators(_as_vector(s).terms) for s in (u1, u2, v))
     inner, outer = box.intervals
     grid = _iterate_grid(space, t1, t2, tv, inner, lambda k1: outer)
     return WindowedSeries(box, wrap_table(grid, D1 * D2 * Dv))
@@ -413,9 +389,8 @@ def _binomial_fold(rows) -> Dict[Word, int]:
     """The nonzero terms of sum k * row over (row, k) pairs of int tables."""
     acc: Dict[Word, int] = {}
     for row, k in rows:
-        for word, c in row.items():
-            acc[word] = acc.get(word, 0) + k * c
-    return {word: c for word, c in acc.items() if c}
+        add_into(acc, row, k)
+    return acc
 
 
 def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> dict:
@@ -427,7 +402,7 @@ def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> d
     denominator, so both sides are folded and compared as ints.  Every
     window cell is compared; `nonzero` counts those with a nonzero side.
     """
-    (u2_terms, _), (w_terms, _) = (integer_terms(_as_vector(s)) for s in (u2, w))
+    (u2_terms, _), (w_terms, _) = (clear_denominators(_as_vector(s).terms) for s in (u2, w))
     u1 = {tuple(u1_word): 1}
     r = len(u1_word)
     msum = sum(-level - 1 for _, level in u1_word)
@@ -489,7 +464,7 @@ def check_axioms(space: HSpace, samples: Sequence[FockVector], lo: int, hi: int)
     `regular_at_zero` and `lower_truncation` claim that a coefficient
     vanishes, so every cell they read counts.
     """
-    ints = [integer_terms(s)[0] for s in samples]
+    ints = [clear_denominators(s.terms)[0] for s in samples]
     pairs = [(ints[i], ints[(i + 1) % len(ints)]) for i in range(len(ints))]
     window = range(lo, hi + 1)
 

@@ -29,12 +29,12 @@ from itertools import combinations
 from math import inf, lcm
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .fock import FockVector, HSpace, Word, check_report
+from .fock import FockVector, HSpace, Word, check_report, wrap_table
 from .laurent import Box
 from .pfaffian import det, pfaffian
 from .ratfun import RationalFunction, f_mn, region_cells
-from .scalars import binom
-from .vertex import Cell, integer_terms, iterate_series, product_series, series_into, wrap_table
+from .scalars import add_into, binom, clear_denominators
+from .vertex import Cell, iterate_series, product_series, series_into
 
 
 class Factor(NamedTuple):
@@ -272,16 +272,6 @@ def _grid_lower_bounds(factors, order_index, nvars, words) -> List[int]:
     return [_slot_floor(groups.get(var, []), words) for var in range(nvars)]
 
 
-def _table_add(table, cell, vec_terms, coeff):
-    row = table.setdefault(cell, {})
-    for w, c in vec_terms.items():
-        s = row.get(w, 0) + c * coeff
-        if s:
-            row[w] = s
-        else:
-            row.pop(w, None)
-
-
 def noexpr_apply(
     space: HSpace,
     expr: NOExpr,
@@ -306,7 +296,7 @@ def noexpr_apply(
     order_index = {name: i for i, name in enumerate(order)}
     los = [lo for lo, _ in intervals]
     his = [hi for _, hi in intervals]
-    v_terms, D = integer_terms(v)
+    v_terms, D = clear_denominators(v.terms)
     Dc = lcm(*(rf.int_den for rf, _ in expr.terms))
     acc: Dict[Cell, Dict[Word, int]] = {}
     for coeff_rf, factors in expr.terms:
@@ -370,7 +360,7 @@ def _apply_term(space, coeff_rf, scale, factors, v_terms, order_index, los, his,
             if any(not los[var] <= out[var] <= his[var] for var in direct):
                 continue
             if not combos:
-                _table_add(acc, tuple(out), row, c)
+                add_into(acc.setdefault(tuple(out), {}), row, c)
                 continue
             # s^i b^(c-i) moves i from the base to the shift slot
             first = max(0, los[s] - out[s], out[b] - his[b])
@@ -381,4 +371,4 @@ def _apply_term(space, coeff_rf, scale, factors, v_terms, order_index, los, his,
                     out_i = list(out)
                     out_i[s] += i
                     out_i[b] -= i
-                    _table_add(acc, tuple(out_i), row, c * cb)
+                    add_into(acc.setdefault(tuple(out_i), {}), row, c * cb)

@@ -266,6 +266,14 @@ def test_cli_check_rejects_negative_counts(flag, capsys):
     assert main(["--json", "check", "--suite", "wick", flag, "-1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err
+    if flag != "--max-weight":
+        # word lengths above 4 are refused up front, before any wick work
+        assert main(["--json", "check", "--suite", "wick", flag, "5"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and flag in out.err and "limit 4" in out.err
+        argv = ["--json", "check", "--suite", "wick", "--r", "4", "--s", "4", "--max-weight", "0"]
+        assert main(argv + ["--window=-40,-39", "--seed", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 * 25 + 3
 
 
 @pytest.mark.parametrize("suite", ["wick", "delta", "pbw"])
@@ -336,6 +344,8 @@ def test_cli_check_far_windows_keep_the_exit_contract(suite, window):
         ("[]", "top level must be a JSON object"),
         ('{"M": 1, "delta_coeffs": [[0, 1.5, "1"]]}', "level must be an integer, not 1.5"),
         ('{"M": 1, "delta_coeffs": [[false, 1, "1"]]}', "level must be an integer, not false"),
+        # an exponent would build a hundred-million-digit denominator
+        ('{"M": 1, "gram": [["1e-99999999", 1], [1, 0]]}', "bad config: exponent notation"),
     ],
 )
 def test_cli_config_integers_are_validated(config, phrase, tmp_path, capsys):

@@ -5,7 +5,14 @@ import pytest
 
 from fermifock.laurent import Box, LaurentPoly
 from fermifock.ratfun import RationalFunction, f_mn
-from fermifock.scalars import binom, format_rational, parse_rational
+from fermifock.scalars import (
+    add_into,
+    add_term,
+    binom,
+    clear_denominators,
+    format_rational,
+    parse_rational,
+)
 
 
 def test_binom_basics():
@@ -49,6 +56,37 @@ def test_rational_round_trip():
         parse_rational("1/0")
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(4, 2)) == "2"
+    # plain decimals are exact; exponent notation is refused
+    assert parse_rational(" 1.25 ") == Fraction(5, 4)
+    for text in ("1e3", "1E-99999999", "2.5e1"):
+        with pytest.raises(ValueError, match="p, p/q or a plain decimal"):
+            parse_rational(text)
+
+
+def test_clear_denominators():
+    ints, D = clear_denominators({"a": Fraction(1, 6), "b": Fraction(-3, 4), "c": 2})
+    assert (ints, D) == ({"a": 2, "b": -9, "c": 24}, 12)
+    assert clear_denominators({}) == ({}, 1)
+    ints, D = clear_denominators({(0,): 3, (1,): -5})
+    assert D == 1 and all(type(c) is int for c in ints.values())
+
+
+def test_add_term_drops_a_cancelling_key():
+    row = {"a": 1}
+    add_term(row, "b", Fraction(1, 2))
+    add_term(row, "a", -1)
+    add_term(row, "c", 0)
+    assert row == {"b": Fraction(1, 2)}
+
+
+def test_add_into_is_in_place_and_drops_cancelling_keys():
+    row = {"a": 2, "b": 1}
+    assert add_into(row, {"a": -1, "c": 3}, 2) is row
+    assert row == {"b": 1, "c": 6}
+    assert add_into(row, {"b": -1, "c": Fraction(1, 2)}) == {"c": Fraction(13, 2)}
+    assert add_into(row, {"c": 2}, Fraction(-13, 4)) == {}
+    ints = add_into({}, {"x": 3, "y": -2}, 1)
+    assert ints == {"x": 3, "y": -2} and all(type(c) is int for c in ints.values())
 
 
 def _geometric(t, n):

@@ -17,20 +17,19 @@ from fermifock.fock import (
     random_word,
     theta,
     weight2,
+    wrap_table,
 )
 from fermifock.laurent import Box
-from fermifock.scalars import binom
+from fermifock.scalars import binom, clear_denominators
 from fermifock.vertex import (
     check_axioms,
     check_weak_associativity,
     enumerate_shuffles,
-    integer_terms,
     iterate_series,
     normal_order_modes,
     ordered_factor_series,
     product_series,
     series_into,
-    wrap_table,
     y_coeff,
     y_series,
 )
@@ -439,7 +438,7 @@ def test_iterate_band_matches_full_window_on_read_cells(monkeypatch):
     for box, u1, u2, w in _band_triples(77001):
         (lo1, hi1), (lo2, hi2) = box.intervals
         P = check_weak_associativity(SPACE, u1, u2, w, box)["pole_order"]
-        band = wrap_table(grids.pop(), integer_terms(u2)[1] * integer_terms(w)[1])
+        band = wrap_table(grids.pop(), clear_denominators(u2.terms)[1] * clear_denominators(w.terms)[1])
         pole_orders.append(P)
         full = {}
         for k1 in range(lo1 - P, hi1 + 1):
@@ -467,7 +466,7 @@ def test_product_band_matches_full_window_on_read_cells(monkeypatch):
     for box, u1, u2, w in _band_triples(77002):
         (lo1, hi1), (lo2, hi2) = box.intervals
         P = check_weak_associativity(SPACE, u1, u2, w, box)["pole_order"]
-        band = wrap_table(grids.pop(), integer_terms(u2)[1] * integer_terms(w)[1])
+        band = wrap_table(grids.pop(), clear_denominators(u2.terms)[1] * clear_denominators(w.terms)[1])
         pole_orders.append(P)
         t2min = -((max(map(weight2, u2.terms)) + max(map(weight2, w.terms))) // 2)
         x = (lo1 + lo2 - P - hi2, hi1 + hi2 - P - t2min)
@@ -601,7 +600,7 @@ def test_merged_series_walk_matches_one_source_calls_and_mode_oracle():
                 sources.append((head[: rng.randint(0, 1)] + tail, rng.choice((1, -2, 3))))
             sources.append((sources[0][0], -sources[0][1]))
             v = _mixed_state(rng, 4, 3)
-            terms, D = integer_terms(v)
+            terms, D = clear_denominators(v.terms)
 
             merged = {}
             series_into(space, sources, terms, intervals, merged)
@@ -769,7 +768,7 @@ def test_integer_weak_associativity_fold_matches_fock_vector_fold(monkeypatch):
 
         # add (1/D)|word> to the iterate cell (lo1, lo2), D the common denominator
         cell, word = (-4, -4), ((E1, -1),)
-        D = integer_terms(u2)[1] * integer_terms(w)[1]
+        D = clear_denominators(u2.terms)[1] * clear_denominators(w.terms)[1]
 
         def poke_ints(*args):
             ints = grid(*args)
