@@ -10,8 +10,8 @@ Expanding along the lowest item p of a set S,
 
 and memoising Pf on the bitmask of S makes every visited minor cost one
 term per nonzero entry of its first row.  Entries are exact ring
-elements (`int`, `Fraction` or `RationalFunction`); absent entries are
-zero.
+elements (`int`, `Fraction`, `RationalFunction`, or the unnormalized
+ring of `ratfun.deferred_pfaffian`); absent entries are zero.
 
 `det` is the one scalar determinant (exact elimination over `Fraction`):
 the Gram nondegeneracy check and the Wick closed forms share it.

@@ -17,18 +17,26 @@ when it can succeed: the numerator is first evaluated modulo the prime
 proves that z_i - z_j does not divide it.  A zero residue falls through
 to the division, so no step rests on chance.
 
+The public operations return normal forms.  `deferred_pfaffian`, the
+Pfaffian of a kernel of rational functions, runs its memo over a private
+ring (`_Unreduced`) that shares their integer sum and product
+(`_int_sum`, `_int_product`) but never normalizes: it normalizes once,
+on the value it returns.
+
 Regional expansion (`expand_region`) turns a rational function into the
 exact Laurent table of its iterated-series expansion in a declared region
-|z_{o1}| > |z_{o2}| > ... , certified on a requested exponent box.
+|z_{o1}| > |z_{o2}| > ... , certified on a requested exponent box; the
+walk (`region_cells`) stops at the box's lower edges as well as its upper.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .laurent import Box, LaurentPoly
+from .pfaffian import pfaffian
 from .scalars import add_into, add_term, binom, clear_denominators, format_rational
 
 Cell = Tuple[int, ...]
@@ -231,9 +239,11 @@ class RationalFunction:
         variables = tuple(sorted((x, y), key=_var_key))
         if (x, y) != variables:
             value *= (-1) ** power
-        num = {(0, 0): value.numerator} if value else {}
+        if not value:
+            return cls._raw(variables, {}, 1, {}, {})
+        # a constant numerator shares no factor with the difference power
         den_diff = {variables: power} if power else {}
-        return cls._from_ints(variables, num, value.denominator, {}, den_diff)
+        return cls._raw(variables, {(0, 0): value.numerator}, value.denominator, {}, den_diff)
 
     # -- normalization --------------------------------------------------
 
@@ -320,15 +330,7 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             other = RationalFunction.from_scalar(other)
         variables = self._merge_vars(self, other)
-        p1, p2, d1, d2 = self.den_pow, other.den_pow, self.den_diff, other.den_diff
-        den_pow = {v: max(p1.get(v, 0), p2.get(v, 0)) for v in set(p1) | set(p2)}
-        den_diff = {k: max(d1.get(k, 0), d2.get(k, 0)) for k in set(d1) | set(d2)}
-        den = lcm(self.int_den, other.int_den)
-        num = add_into(
-            dict(self._lifted(variables, den, den_pow, den_diff)),
-            other._lifted(variables, den, den_pow, den_diff),
-        )
-        return RationalFunction._from_ints(variables, num, den, den_pow, den_diff)
+        return RationalFunction._from_ints(variables, *_int_sum(self, other, variables))
 
     def __neg__(self):
         num = {cell: -c for cell, c in self.int_num.items()}
@@ -343,11 +345,7 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return self.scale(other)
         variables = self._merge_vars(self, other)
-        p1, p2, d1, d2 = self.den_pow, other.den_pow, self.den_diff, other.den_diff
-        den_pow = {v: p1.get(v, 0) + p2.get(v, 0) for v in set(p1) | set(p2)}
-        den_diff = {k: d1.get(k, 0) + d2.get(k, 0) for k in set(d1) | set(d2)}
-        num = _poly_mul(self._embedded(variables), other._embedded(variables))
-        return RationalFunction._from_ints(variables, num, self.int_den * other.int_den, den_pow, den_diff)
+        return RationalFunction._from_ints(variables, *_int_product(self, other, variables))
 
     def scale(self, value) -> "RationalFunction":
         """Multiply by a scalar; a nonzero scalar keeps the normal form."""
@@ -416,9 +414,9 @@ class RationalFunction:
             raise ValueError("region order must cover all variables")
         box = Box(order, box_intervals)
         npos = {v: i for i, v in enumerate(order)}
-        table = region_cells(self, npos, [hi for _, hi in box.intervals])
+        table = region_cells(self, npos, [hi for _, hi in box.intervals], floors=[lo for lo, _ in box.intervals])
         den = self.int_den
-        return LaurentPoly(order, {cell: Fraction(c, den) for cell, c in table.items() if box.contains(cell)})
+        return LaurentPoly(order, {cell: Fraction(c, den) for cell, c in table.items()})
 
     # -- rendering ----------------------------------------------------------
 
@@ -454,12 +452,113 @@ class RationalFunction:
         return self.render()
 
 
+def _int_sum(a, b, variables):
+    """(num, den, den_pow, den_diff) of a + b over `variables`, not normalized:
+    both operands lifted to the larger exponent of every factor."""
+    p1, p2, d1, d2 = a.den_pow, b.den_pow, a.den_diff, b.den_diff
+    den_pow = {v: max(p1.get(v, 0), p2.get(v, 0)) for v in set(p1) | set(p2)}
+    den_diff = {k: max(d1.get(k, 0), d2.get(k, 0)) for k in set(d1) | set(d2)}
+    den = lcm(a.int_den, b.int_den)
+    num = add_into(
+        dict(a._lifted(variables, den, den_pow, den_diff)),
+        b._lifted(variables, den, den_pow, den_diff),
+    )
+    return num, den, den_pow, den_diff
+
+
+def _int_product(a, b, variables):
+    """(num, den, den_pow, den_diff) of a * b over `variables`, not normalized:
+    the exponents add, and a left operand that is one constant cell (as
+    every Pfaffian kernel entry is) only scales the right numerator."""
+    p1, p2, d1, d2 = a.den_pow, b.den_pow, a.den_diff, b.den_diff
+    den_pow = {v: p1.get(v, 0) + p2.get(v, 0) for v in set(p1) | set(p2)}
+    den_diff = {k: d1.get(k, 0) + d2.get(k, 0) for k in set(d1) | set(d2)}
+    x, y = a._embedded(variables), b._embedded(variables)
+    if len(x) == 1 and not any(next(iter(x))):
+        (k,) = x.values()
+        num = {cell: c * k for cell, c in y.items()}
+    else:
+        num = _poly_mul(x, y)
+    return num, a.int_den * b.int_den, den_pow, den_diff
+
+
+class _Unreduced:
+    """An element of the ring `deferred_pfaffian` runs its memo over.
+
+    It holds the data of a RationalFunction with its numerator over one
+    variable tuple shared by every element of the ring, and it is never
+    normalized: a sum lifts both operands to the larger exponents, a
+    product adds them (`_int_sum`, `_int_product`, the bodies of the
+    public operators).  `support` is the bitmask of the variables the
+    equal RationalFunction would carry.
+    """
+
+    __slots__ = ("vars", "support", "int_num", "int_den", "den_pow", "den_diff")
+
+    _embedded = RationalFunction._embedded
+    _lifted = RationalFunction._lifted
+
+    def __init__(self, variables, support, num, den, den_pow, den_diff):
+        self.vars = variables
+        self.support = support
+        self.int_num = num
+        self.int_den = den
+        self.den_pow = den_pow
+        self.den_diff = den_diff
+
+    def _new(self, *data) -> "_Unreduced":
+        return _Unreduced(self.vars, *data)
+
+    def __add__(self, other):
+        return self._new(self.support | other.support, *_int_sum(self, other, self.vars))
+
+    def __mul__(self, other):
+        return self._new(self.support | other.support, *_int_product(self, other, self.vars))
+
+    def __neg__(self):
+        num = {cell: -c for cell, c in self.int_num.items()}
+        return self._new(self.support, num, self.int_den, self.den_pow, self.den_diff)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask: int) -> RationalFunction:
+    """pfaffian(kernel, [mask], RationalFunction.from_scalar(1))[mask], equal
+    down to `vars` and the rendered form, with one normalization in all.
+
+    Every kernel entry is embedded once over the union of the entries'
+    variables; the memo runs over `_Unreduced`, and only its value on
+    `mask` is normalized.
+    """
+    variables = tuple(sorted({v for row in kernel.values() for rf in row.values() for v in rf.vars}, key=_var_key))
+    bits = {v: 1 << i for i, v in enumerate(variables)}
+
+    def embed(rf: RationalFunction) -> _Unreduced:
+        support = sum(bits[v] for v in rf.vars)
+        return _Unreduced(variables, support, rf._embedded(variables), rf.int_den, rf.den_pow, rf.den_diff)
+
+    ring = {p: {q: embed(rf) for q, rf in row.items()} for p, row in kernel.items()}
+    value = pfaffian(ring, [mask], embed(RationalFunction.from_scalar(1)))[mask]
+    keep = [i for i in range(len(variables)) if value.support >> i & 1]
+    num = value.int_num
+    if len(keep) < len(variables):
+        num = {tuple(cell[i] for i in keep): c for cell, c in num.items()}
+    kept = tuple(variables[i] for i in keep)
+    return RationalFunction._from_ints(kept, num, value.int_den, value.den_pow, value.den_diff)
+
+
 def region_cells(
-    rf: RationalFunction, order_index: Mapping[str, int], caps: Sequence[int], scale: int = 1
+    rf: RationalFunction,
+    order_index: Mapping[str, int],
+    caps: Sequence[int],
+    scale: int = 1,
+    floors: Sequence[int] | None = None,
 ) -> Dict[Cell, int]:
     """Laurent cells of `scale * rf.int_num` over rf's denominator, expanded
     in the region |order[0]| > |order[1]| > ..., with every exponent at or
-    below its cap; the values are ints over `rf.int_den`.
+    below its cap and, when `floors` is given, at or above its floor; the
+    values are ints over `rf.int_den`.
 
     Each difference factor is a geometric series in its inner (later)
     variable, (x - y)^-b = sum_k C(b+k-1, k) x^(-b-k) y^k.  Inner degrees
@@ -467,9 +566,12 @@ def region_cells(
     reached, every factor that lowers it is already chosen, so its budget
     bounds the choices there exactly and every leaf is within the caps.
     A position that is no difference factor's inner variable may have the
-    cap `math.inf`, which keeps every cell.
+    cap `math.inf`, which keeps every cell.  A position's value is checked
+    against its floor as soon as it is final; while a factor lowers a
+    position that no factor raises, its series stops at that floor.
     """
     nv = len(caps)
+    floors = floors or [-inf] * nv
     members = [[] for _ in range(nv)]  # factors (outer, power, sign) by inner position
     for (x, y), b in sorted(rf.den_diff.items()):
         px, py = order_index[x], order_index[y]
@@ -478,6 +580,8 @@ def region_cells(
         else:
             # (x - y)^-b = (-1)^b (y - x)^-b, expanded with y as the outer variable
             members[px].append((py, b, -1 if b & 1 else 1))
+    # lowering a position that no factor raises ends at its floor
+    stops = [-inf if members[p] else floors[p] for p in range(nv)]
     base = [0] * nv
     for v, a in rf.den_pow.items():
         base[order_index[v]] -= a
@@ -487,7 +591,7 @@ def region_cells(
 
     def walk(pos, value):
         while pos >= 0 and not members[pos]:
-            if cell[pos] > caps[pos]:
+            if not floors[pos] <= cell[pos] <= caps[pos]:
                 return
             pos -= 1
         if pos < 0:
@@ -499,16 +603,20 @@ def region_cells(
 
     def assign(group, mi, pos, remaining, value):
         if mi == len(group):
-            walk(pos - 1, value)
+            if cell[pos] >= floors[pos]:
+                walk(pos - 1, value)
             return
         outer, b, sign = group[mi]
+        stop = stops[outer]
         cell[outer] -= b
-        for k in range(remaining + 1):
+        k = 0
+        while k <= remaining and cell[outer] >= stop:
             assign(group, mi + 1, pos, remaining - k, value * sign * binom(b + k - 1, k))
             cell[pos] += 1
             cell[outer] -= 1
-        cell[pos] -= remaining + 1
-        cell[outer] += b + remaining + 1
+            k += 1
+        cell[pos] -= k
+        cell[outer] += b + k
 
     for mono, c in rf.int_num.items():
         cell[:] = base

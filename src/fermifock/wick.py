@@ -32,7 +32,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 from .fock import FockVector, HSpace, Word, check_report, wrap_table
 from .laurent import Box
 from .pfaffian import det, pfaffian
-from .ratfun import RationalFunction, f_mn, region_cells
+from .ratfun import RationalFunction, deferred_pfaffian, f_mn, region_cells
 from .scalars import add_into, binom, clear_denominators
 from .vertex import Cell, iterate_series, product_series, series_into
 
@@ -221,7 +221,10 @@ def correlation(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> Ration
     By Wick's theorem it is the Pfaffian of the factor-level kernel
     A[p][q] = (a_p, a_q) f_{m_p n_q}(z_i, z_j) for factor p of insertion i
     and factor q of a later insertion j; factors of one insertion never
-    contract.  The `noexpr_mul` fold computes the same value term by term.
+    contract.  The Pfaffian runs over the unnormalized ring of
+    `ratfun.deferred_pfaffian` and is normalized once, so the result is the
+    normal form of the plain `pfaffian` over RationalFunction.  The
+    `noexpr_mul` fold computes the same value term by term.
     """
     names = [v for _, v in insertions]
     if len(set(names)) != len(names):
@@ -234,8 +237,7 @@ def correlation(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> Ration
             pairing = space.pair(fp.gen, fq.gen) if j != i else 0
             if pairing:
                 kernel.setdefault(p, {})[q] = f_mn(fp.deriv, fq.deriv, fp.var, fq.var).scale(pairing)
-    full = (1 << len(factors)) - 1
-    return pfaffian(kernel, [full], RationalFunction.from_scalar(1))[full]
+    return deferred_pfaffian(kernel, (1 << len(factors)) - 1)
 
 
 # -- windowed evaluation of closed forms ------------------------------------

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, inf
 
 from fermifock import ratfun
 from fermifock.laurent import Box
@@ -271,3 +271,61 @@ def test_expand_region_matches_brute_force():
         assert got.coeffs == _brute_expansion(rf, order, intervals)
         assert all(type(c) is Fraction for c in got.coeffs.values())
         assert all(Box(order, intervals).contains(cell) for cell in got.coeffs)
+
+
+def _random_region_rf(rng):
+    """A planted function times up to three more difference powers, with a
+    random region order over its variables."""
+    rf = _planted_rf(rng)
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(len(rf.vars)), 2)
+        rf = rf * RationalFunction.diff_inverse(rf.vars[i], rf.vars[j], rng.randint(1, 3), Fraction(1, 2))
+    order = list(rf.vars)
+    rng.shuffle(order)
+    return rf, order
+
+
+def test_region_cells_floors_equal_the_unpruned_walk_on_the_box():
+    """Floors prune the walk and keep exactly the cells of the box."""
+    rng = random.Random(83)
+    cut = 0
+    for _ in range(60):
+        rf, order = _random_region_rf(rng)
+        npos = {v: p for p, v in enumerate(order)}
+        his = [rng.randint(-2, 4) for _ in order]
+        # lo edges from far below to deep inside the reachable cells
+        los = [hi - rng.choice([0, 1, 2, 4, 30]) for hi in his]
+        scale = rng.choice([1, -3])
+        full = ratfun.region_cells(rf, npos, his, scale)
+        box = Box(order, list(zip(los, his)))
+        want = {cell: c for cell, c in full.items() if box.contains(cell)}
+        assert ratfun.region_cells(rf, npos, his, scale, los) == want
+        cut += len(want) < len(full)
+    assert cut >= 20
+    # z3 is in no difference factor: its floor is checked where it is final
+    rf = RationalFunction(VARS[:3], {(0, 0, 0): 1, (1, 0, 3): 2}, {"z3": 1}, {("z1", "z2"): 2})
+    npos = {"z3": 0, "z1": 1, "z2": 2}
+    full = ratfun.region_cells(rf, npos, [3, 1, 3])
+    assert ratfun.region_cells(rf, npos, [3, 1, 3], 1, [0, -9, -9]) == {c: v for c, v in full.items() if c[0] >= 0}
+    assert any(c[0] < 0 for c in full)
+    # no cell of 1/(z1 - z2) in |z1| > |z2| has z1 >= 0
+    rf = RationalFunction.diff_inverse("z1", "z2", 1)
+    assert ratfun.region_cells(rf, {"z1": 0, "z2": 1}, [3, 3])
+    assert ratfun.region_cells(rf, {"z1": 0, "z2": 1}, [3, 3], 1, [0, -3]) == {}
+
+
+def test_region_cells_caps_only_keep_every_cell_under_an_infinite_cap():
+    """The path of `noexpr_apply` (no floors, `math.inf` on a position that
+    no factor raises) keeps every cell under the caps: the outermost position
+    is never an inner variable, and a finite cap at its largest exponent
+    reads the same cells, which agree with the brute-force expansion."""
+    rng = random.Random(89)
+    for _ in range(40):
+        rf, order = _random_region_rf(rng)
+        npos = {v: p for p, v in enumerate(order)}
+        caps = [rng.randint(-2, 4) for _ in order]
+        top = max(cell[rf.vars.index(order[0])] for cell in rf.int_num)
+        got = ratfun.region_cells(rf, npos, [inf] + caps[1:])
+        assert got == ratfun.region_cells(rf, npos, [top] + caps[1:])
+        intervals = [(-10**6, top)] + [(-10**6, hi) for hi in caps[1:]]
+        assert {cell: Fraction(c, rf.int_den) for cell, c in got.items()} == _brute_expansion(rf, order, intervals)

@@ -6,6 +6,7 @@ import pytest
 
 from fermifock.fock import FockVector, HSpace, random_state, random_word
 from fermifock.laurent import Box
+from fermifock.pfaffian import pfaffian
 from fermifock.ratfun import RationalFunction, f_mn
 from fermifock.vertex import iterate_series, ordered_factor_series, product_series
 from fermifock.wick import (
@@ -265,6 +266,72 @@ def test_correlation_pfaffian_matches_both_folds():
             assert got.render() == want.render(), (ins, right)
         nonzero += not got.is_zero()
     assert nonzero >= 30
+
+
+def _plain_correlation(space, insertions):
+    """The factor-level Pfaffian run over RationalFunction itself, which
+    normalizes after every ring operation."""
+    factors = [(i, f) for i, (w, v) in enumerate(insertions) for f in word_factors(w, v)]
+    kernel = {}
+    for p, (i, fp) in enumerate(factors):
+        for q in range(p + 1, len(factors)):
+            j, fq = factors[q]
+            pairing = space.pair(fp.gen, fq.gen) if j != i else 0
+            if pairing:
+                kernel.setdefault(p, {})[q] = f_mn(fp.deriv, fq.deriv, fp.var, fq.var).scale(pairing)
+    full = (1 << len(factors)) - 1
+    return pfaffian(kernel, [full], RationalFunction.from_scalar(1))[full]
+
+
+def test_correlation_matches_the_plain_pfaffian_route():
+    """`correlation` normalizes once per Pfaffian; the route that normalizes
+    at every ring operation gives the same normal form, vars included."""
+    rng = random.Random(73)
+    rational = [
+        [Fraction(1, 2), Fraction(-5, 7), 1, 0],
+        [Fraction(-5, 7), 0, Fraction(2, 3), 3],
+        [1, Fraction(2, 3), 0, Fraction(1, 3)],
+        [0, 3, Fraction(1, 3), -2],
+    ]
+    cases = []
+    # M = 1 alternating single-mode insertions under a seeded pairing scale
+    for n, max_order in ((2, 2), (3, 2), (4, 2), (5, 1), (6, 1), (8, 0)):
+        for _ in range(4):
+            a = rng.choice([-3, 1, 2, 7])
+            space = HSpace(1, [[0, a], [a, 0]])
+            first = rng.randrange(2)
+            ins = [((((first + i) % 2, -rng.randint(1, max_order + 1)),), f"z{i + 1}") for i in range(n)]
+            cases.append((space, ins))
+    # dense and rational Grams: every factor pair, or most, contracts
+    shapes = [(FULL_GRAM_2, (1, 1, 1, 1)), (FULL_GRAM_2, (2, 1, 1)), (FULL_GRAM_2, (2, 1, 2, 1))]
+    shapes += [(rational, (1, 2, 1)), (rational, (2, 1, 1, 2)), (rational, (1, 1, 1, 1, 1, 1))]
+    for gram, lengths in shapes * 2:
+        words = [tuple((rng.randrange(4), -rng.randint(1, 3)) for _ in range(k)) for k in lengths]
+        cases.append((HSpace(2, gram), [(w, f"z{i + 1}") for i, w in enumerate(words)]))
+    e, f = ((E1, -1),), ((F1, -1),)
+    cases += [
+        (SPACE, []),
+        # empty words: their variables never reach the kernel
+        (SPACE, [(e, "z1"), ((), "z2"), (f, "z3")]),
+        (SPACE, [((), "z1"), ((), "z2")]),
+        # zeros: an odd factor count, no contraction at all, and a sum that cancels
+        (SPACE, [(e, "z1"), (f, "z2"), (e, "z3")]),
+        (SPACE, [(e, "z1"), (((E2, -1),), "z2")]),
+        (HSpace(1), [(((0, -1),), "z1"), (((0, -2),), "z2"), (((1, -2), (1, -2)), "z3")]),
+    ]
+    nonzero = 0
+    for space, ins in cases:
+        got, want = correlation(space, ins), _plain_correlation(space, ins)
+        assert got.vars == want.vars, ins
+        assert got.num == want.num and got.int_den == want.int_den, ins
+        assert got.den_pow == want.den_pow and got.den_diff == want.den_diff, ins
+        assert got.render() == want.render(), ins
+        nonzero += not got.is_zero()
+    # the cancelling sum keeps its variables; a minor with no matching has none
+    assert correlation(HSpace(1), cases[-1][1]).vars == ("z1", "z2", "z3")
+    assert correlation(SPACE, cases[-2][1]).vars == ()
+    assert correlation(SPACE, cases[-5][1]).vars == ("z1", "z3")
+    assert nonzero >= 24
 
 
 def test_correlation_antisymmetry_for_identical_odd_insertions():
