@@ -45,6 +45,7 @@ from .wick import (
     check_closed_forms,
     contraction_det,
     correlation,
+    correlation_terms,
     noexpr_apply,
     vacuum_expectation,
     wick_fuse,

@@ -13,6 +13,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import List, Sequence, Tuple
 
 from .delta import (
@@ -28,7 +29,7 @@ from .laurent import Box
 from .scalars import format_rational, parse_rational
 from .straightening import K, check_confluence, defect
 from .vertex import check_axioms, check_weak_associativity
-from .wick import check_closed_forms, correlation
+from .wick import check_closed_forms, correlation, correlation_terms
 
 
 class UsageError(Exception):
@@ -354,10 +355,9 @@ def cmd_expand(args) -> int:
     if sorted(order) != sorted(v for _, v in insertions):
         raise UsageError("--order must list exactly the insertion variables")
     window = _parse_window(args.window, len(order))
-    rf = correlation(space, insertions).scale(scale)
-    table = rf.expand_region(order, window)
+    table = correlation_terms(space, insertions).expand_region(order, window)
     for cell, value in table.items():
-        print(json.dumps({"cell": list(cell), "value": format_rational(value)}))
+        print(json.dumps({"cell": list(cell), "value": format_rational(value * scale)}))
     if not args.json:
         print(
             f"{len(table.coeffs)} nonzero coefficients on the window (order {', '.join(order)})",
@@ -384,7 +384,10 @@ def cmd_expdelta(args) -> int:
     return 0 if agree else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later `main` in the process; `parse_args` reads it and changes nothing."""
     parser = argparse.ArgumentParser(
         prog="fermifock",
         description="Exact checks and correlation functions for the "

@@ -231,19 +231,29 @@ class RationalFunction:
     @classmethod
     def diff_inverse(cls, x: str, y: str, power: int, value=1) -> "RationalFunction":
         """value / (x - y)^power with the canonical-order sign absorbed."""
-        if x == y:
-            raise ValueError("difference factor needs distinct variables")
-        if power < 0:
-            raise ValueError("power must be nonnegative")
+        return cls.diff_product({(x, y): power}, value)
+
+    @classmethod
+    def diff_product(cls, powers: Mapping[Tuple[str, str], int], value=1) -> "RationalFunction":
+        """value / prod (x - y)^b over the pairs of `powers`, with the
+        canonical-order signs absorbed."""
         value = Fraction(value)
-        variables = tuple(sorted((x, y), key=_var_key))
-        if (x, y) != variables:
-            value *= (-1) ** power
+        variables = tuple(sorted({v for pair in powers for v in pair}, key=_var_key))
+        den_diff: Dict[Tuple[str, str], int] = {}
+        for (x, y), b in powers.items():
+            if x == y:
+                raise ValueError("difference factor needs distinct variables")
+            if b < 0:
+                raise ValueError("power must be nonnegative")
+            key = (x, y) if _var_key(x) < _var_key(y) else (y, x)
+            if key != (x, y) and b & 1:
+                value = -value
+            if b:
+                den_diff[key] = den_diff.get(key, 0) + b
         if not value:
             return cls._raw(variables, {}, 1, {}, {})
-        # a constant numerator shares no factor with the difference power
-        den_diff = {variables: power} if power else {}
-        return cls._raw(variables, {(0, 0): value.numerator}, value.denominator, {}, den_diff)
+        # a constant numerator shares no factor with the difference powers
+        return cls._raw(variables, {(0,) * len(variables): value.numerator}, value.denominator, {}, den_diff)
 
     # -- normalization --------------------------------------------------
 

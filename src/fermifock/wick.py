@@ -21,16 +21,25 @@ are never reordered (creation parts have no relations to exploit).
 
 Vacuum correlation functions keep only the fully contracted terms of
 the iterated product, so they are Pfaffians of the factor-level kernel;
-folding the products (`noexpr_mul`) is kept as the slow oracle.
+folding the products (`noexpr_mul`) is kept as the slow oracle.  One
+routine (`_kernel_pairs`) lists the kernel's contracting factor pairs,
+and the Pfaffian is taken over two rings: `correlation` gives the normal
+form, one expanded numerator over prod (z_i - z_j)^k, and
+`correlation_terms` gives the Wick sum itself, one term c / prod
+(z_i - z_j)^k per distinct product of difference powers.  The sum never
+expands a numerator, so `fermifock expand` walks its terms one by one;
+the normal form and its `expand_region` are the oracle for that route.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm
+from operator import add
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .fock import FockVector, HSpace, Word, check_report, wrap_table
-from .laurent import Box
+from .laurent import Box, LaurentPoly
 from .pfaffian import det, pfaffian
 from .ratfun import RationalFunction, deferred_pfaffian, f_mn, region_cells
 from .scalars import add_into, binom, clear_denominators
@@ -226,18 +235,119 @@ def correlation(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> Ration
     normal form of the plain `pfaffian` over RationalFunction.  The
     `noexpr_mul` fold computes the same value term by term.
     """
+    count, pairs = _kernel_pairs(space, insertions)
+    names = [v for _, v in insertions]
+    kernel: Dict[int, Dict[int, RationalFunction]] = {}
+    for p, q, i, j, weight, power in pairs:
+        kernel.setdefault(p, {})[q] = RationalFunction.diff_inverse(names[i], names[j], power, weight)
+    return deferred_pfaffian(kernel, (1 << count) - 1)
+
+
+def _kernel_pairs(space: HSpace, insertions: Sequence[Tuple[Word, str]]):
+    """(factor count, kernel pairs) of a correlation: a pair (p, q, i, j,
+    weight, power) joins factor p of insertion i to factor q of a later
+    insertion j, whose kernel entry (a_p, a_q) f_{m_p n_q}(z_i, z_j) is
+    weight / (z_i - z_j)^power, with weight (a_p, a_q) C(-n_q-1, m_p) and
+    power m_p + n_q + 1.  Pairs that cannot contract are left out."""
     names = [v for _, v in insertions]
     if len(set(names)) != len(names):
         raise ValueError("insertion variables must be distinct")
     factors = [(i, f) for i, (w, v) in enumerate(insertions) for f in word_factors(w, v)]
-    kernel: Dict[int, Dict[int, RationalFunction]] = {}
+    pairs = []
     for p, (i, fp) in enumerate(factors):
         for q in range(p + 1, len(factors)):
             j, fq = factors[q]
             pairing = space.pair(fp.gen, fq.gen) if j != i else 0
             if pairing:
-                kernel.setdefault(p, {})[q] = f_mn(fp.deriv, fq.deriv, fp.var, fq.var).scale(pairing)
-    return deferred_pfaffian(kernel, (1 << len(factors)) - 1)
+                weight = pairing * binom(-fq.deriv - 1, fp.deriv)
+                pairs.append((p, q, i, j, weight, fp.deriv + fq.deriv + 1))
+    return len(factors), pairs
+
+
+class WickSum(NamedTuple):
+    """A correlation as Wick's theorem writes it: the sum over `terms` of
+    c / den / prod (x - y)^b, one term per distinct product of difference
+    powers.  A key is the tuple of its ((x, y), b), x the earlier insertion.
+
+    The sum is not canonical (1/((a-b)(b-c)) + 1/((b-c)(c-a)) +
+    1/((c-a)(a-b)) = 0), so compare sums by value or expansion, never by
+    their terms.
+    """
+
+    terms: Dict[Tuple[Tuple[Tuple[str, str], int], ...], int]
+    den: int
+
+    def expand_region(self, order: Sequence[str], box_intervals) -> LaurentPoly:
+        """The table of `RationalFunction.expand_region` for the same
+        function: every term through the one walker `ratfun.region_cells`,
+        its ints added over `den`."""
+        order = tuple(order)
+        if {v for key in self.terms for pair, _ in key for v in pair} - set(order):
+            raise ValueError("region order must cover all variables")
+        box = Box(order, box_intervals)
+        npos = {v: i for i, v in enumerate(order)}
+        caps, floors = [hi for _, hi in box.intervals], [lo for lo, _ in box.intervals]
+        table: Dict[Cell, int] = {}
+        for key, c in self.terms.items():
+            add_into(table, region_cells(RationalFunction.diff_product(dict(key), c), npos, caps, floors=floors))
+        den = self.den
+        return LaurentPoly(order, {cell: Fraction(c, den) for cell, c in table.items()})
+
+
+class _InversePowers:
+    """An element of the ring `correlation_terms` runs the Pfaffian memo
+    over: a polynomial in the inverse differences 1/(z_i - z_j) of the
+    contracting insertion pairs, {exponent tuple: int}.  The memo's left
+    factor is always a kernel entry, one term, so a product shifts the
+    exponents of the right factor."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __add__(self, other):
+        return _InversePowers(add_into(dict(self.terms), other.terms))
+
+    def __neg__(self):
+        return _InversePowers({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        ((shift, k),) = self.terms.items()
+        return _InversePowers({tuple(map(add, shift, key)): k * c for key, c in other.terms.items()})
+
+
+def correlation_terms(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> WickSum:
+    """The Wick sum of `correlation`: the same Pfaffian of the same kernel
+    pairs, run over sums of difference monomials instead of normal forms,
+    so no numerator is ever expanded.
+
+    The kernel weights are cleared to ints over one denominator L, as
+    `delta` clears its bracket kernel, so every term is an int over
+    L^(factors/2).  Expanding the terms one by one (`WickSum.expand_region`)
+    gives the table of the normal form at sizes the normal form cannot reach.
+    """
+    count, pairs = _kernel_pairs(space, insertions)
+    names = [v for _, v in insertions]
+    ints, L = clear_denominators({(p, q): weight for p, q, _, _, weight, _ in pairs})
+    slots: Dict[Tuple[int, int], int] = {}  # insertion pair -> exponent position
+    for _, _, i, j, _, _ in pairs:
+        slots.setdefault((i, j), len(slots))
+    kernel: Dict[int, Dict[int, _InversePowers]] = {}
+    for p, q, i, j, _, power in pairs:
+        shift = [0] * len(slots)
+        shift[slots[i, j]] = power
+        kernel.setdefault(p, {})[q] = _InversePowers({tuple(shift): ints[p, q]})
+    full = (1 << count) - 1
+    value = pfaffian(kernel, [full], _InversePowers({(0,) * len(slots): 1}))[full]
+    differences = [(names[i], names[j]) for i, j in slots]
+    terms = {
+        tuple((pair, b) for pair, b in zip(differences, key) if b): c for key, c in value.terms.items()
+    }
+    return WickSum(terms, L ** (count // 2))
 
 
 # -- windowed evaluation of closed forms ------------------------------------

@@ -3,13 +3,17 @@ import os
 import random
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
 
 import fermifock
-from fermifock.cli import main, parse_state
+from fermifock import cli
+from fermifock.cli import main, parse_insertion, parse_state
 from fermifock.fock import FockVector, HSpace
+from fermifock.scalars import format_rational
+from fermifock.wick import correlation
 
 SPACE = HSpace(2)
 # the subprocess imports the same source tree as the tests, with or without
@@ -211,6 +215,74 @@ def test_cli_expdelta_refuses_words_above_the_letter_limit(monkeypatch, capsys):
 
 def test_main_function_direct():
     assert main(["--json", "check", "--suite", "pbw", "--seed", "1"]) == 0
+
+
+def test_cli_main_shares_one_parser_and_leaks_no_state(capsys):
+    """`main` parses with one cached parser; a flag given to one call is not
+    seen by the next, which prints what a fresh process prints for the
+    default seed 2024.  Importing the module builds no parser."""
+    parser = cli.build_parser()
+    assert parser is cli.build_parser()
+    assert parser.parse_args(["check", "--seed", "5", "--r", "1"]).seed == 5
+    assert vars(parser.parse_args(["check"])) == vars(cli.build_parser.__wrapped__().parse_args(["check"]))
+    # pbw prints one summary record; the delta records differ between seeds
+    for suite in ("pbw", "delta"):
+        assert main(["--json", "check", "--suite", suite, "--seed", "5"]) == 0
+        seeded = capsys.readouterr().out
+        assert main(["--json", "check", "--suite", suite]) == 0
+        second = capsys.readouterr().out
+        fresh = run_cli(["--json", "check", "--suite", suite, "--seed", "2024"])
+        assert fresh.returncode == 0 and second == fresh.stdout
+        assert (second != seeded) == (suite == "delta")
+    probe = "import fermifock.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env).stdout == "0\n"
+
+
+def _normal_form_lines(texts, order, window):
+    """What `expand` printed when it expanded the normal form of the
+    correlation: the table of correlation(...).scale(...).expand_region."""
+    parsed = [parse_insertion(SPACE, text) for text in texts]
+    rf = correlation(SPACE, [(w, v) for w, _, v in parsed]).scale(prod(c for _, c, _ in parsed))
+    table = rf.expand_region(order, window)
+    return [json.dumps({"cell": list(cell), "value": format_rational(x)}) for cell, x in table.items()]
+
+
+@pytest.mark.parametrize(
+    "texts, order, window, cells",
+    [
+        # scaled insertions: the coefficients' product scales every value
+        (["2 e1(-1/2) |0> @ z1", "-3/4 * f1(-3/2) |0> @ z2"], "z1,z2", "-5,1,-2,3", 4),
+        # names out of canonical order, in the insertions and in the region
+        (["e1(-1/2) f2(-3/2) |0> @ b", "e2(-1/2) |0> @ a", "1/2 * f1(-1/2) |0> @ z10",
+          "e1(-3/2) f1(-1/2) |0> @ z2"], "z2,b,z10,a", "-4,2,-3,1,-4,1,-3,2", 7),
+        # an empty word: its variable stays at exponent 0
+        (["f1(-1/2) |0> @ z2", "3 |0> @ w", "e1(-3/2) |0> @ z1"], "z1,w,z2", "-4,0,0,0,-1,3", 3),
+        # zero correlations: no contraction, and an odd factor count
+        (["e1(-1/2) |0> @ z1", "e2(-1/2) |0> @ z2"], "z1,z2", "-3,1,-3,1", 0),
+        (["e1(-1/2) |0> @ z1", "f1(-1/2) |0> @ z2", "e1(-1/2) |0> @ z3"], "z1,z2,z3", "-3,1,-3,1,-3,1", 0),
+    ],
+)
+def test_cli_expand_prints_the_normal_form_table(capsys, texts, order, window, cells):
+    """`expand` expands the Wick sum term by term; it prints the table that
+    the normal form gives, with the same exit code and summary."""
+    argv = ["expand", *texts, "--order=" + order, "--window=" + window]
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    want = _normal_form_lines(texts, order.split(","), cli._parse_window(window, order.count(",") + 1))
+    assert out.out.splitlines() == want and len(want) == cells
+    assert out.err == f"{cells} nonzero coefficients on the window (order {order.replace(',', ', ')})\n"
+
+
+def test_cli_expand_reaches_twelve_insertions(capsys):
+    """Twelve alternating e1(-1/2), f1(-1/2) insertions on [-2, 1]^12: the
+    Wick sum has 720 terms, and the normal form would have 518,400."""
+    names = [f"z{i + 1}" for i in range(12)]
+    argv = ["--json", "expand", *(f"{'ef'[i % 2]}1(-1/2) |0> @ {v}" for i, v in enumerate(names))]
+    argv += ["--order=" + ",".join(names), "--window=" + ",".join(["-2,1"] * 12)]
+    assert main(argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 7808
 
 
 def test_cli_expand_constant_on_point_window():

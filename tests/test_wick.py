@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -8,12 +8,13 @@ from fermifock.fock import FockVector, HSpace, random_state, random_word
 from fermifock.laurent import Box
 from fermifock.pfaffian import pfaffian
 from fermifock.ratfun import RationalFunction, f_mn
-from fermifock.vertex import iterate_series, ordered_factor_series, product_series
+from fermifock.vertex import iterate_series, ordered_factor_series, product_series, y_series
 from fermifock.wick import (
     Factor,
     NOExpr,
     contraction_det,
     correlation,
+    correlation_terms,
     noexpr_apply,
     noexpr_mul,
     vacuum_expectation,
@@ -283,9 +284,10 @@ def _plain_correlation(space, insertions):
     return pfaffian(kernel, [full], RationalFunction.from_scalar(1))[full]
 
 
-def test_correlation_matches_the_plain_pfaffian_route():
-    """`correlation` normalizes once per Pfaffian; the route that normalizes
-    at every ring operation gives the same normal form, vars included."""
+def _correlation_cases():
+    """Seeded correlation inputs: M = 1 alternating single-mode insertions
+    of 2-8 points at derivative orders 0-2, dense and rational Grams with
+    multi-letter words, empty words, and zeros; the last six are fixed."""
     rng = random.Random(73)
     rational = [
         [Fraction(1, 2), Fraction(-5, 7), 1, 0],
@@ -319,6 +321,13 @@ def test_correlation_matches_the_plain_pfaffian_route():
         (SPACE, [(e, "z1"), (((E2, -1),), "z2")]),
         (HSpace(1), [(((0, -1),), "z1"), (((0, -2),), "z2"), (((1, -2), (1, -2)), "z3")]),
     ]
+    return cases
+
+
+def test_correlation_matches_the_plain_pfaffian_route():
+    """`correlation` normalizes once per Pfaffian; the route that normalizes
+    at every ring operation gives the same normal form, vars included."""
+    cases = _correlation_cases()
     nonzero = 0
     for space, ins in cases:
         got, want = correlation(space, ins), _plain_correlation(space, ins)
@@ -332,6 +341,75 @@ def test_correlation_matches_the_plain_pfaffian_route():
     assert correlation(SPACE, cases[-2][1]).vars == ()
     assert correlation(SPACE, cases[-5][1]).vars == ("z1", "z3")
     assert nonzero >= 24
+
+
+def _wick_sum_at(wick_sum, point):
+    total = Fraction(0)
+    for key, c in wick_sum.terms.items():
+        total += Fraction(c, wick_sum.den) / prod((point[x] - point[y]) ** b for (x, y), b in key)
+    return total
+
+
+def _normal_form_at(rf, point):
+    num = sum(c * prod(point[v] ** e for v, e in zip(rf.vars, cell)) for cell, c in rf.num.items())
+    den = prod(point[v] ** a for v, a in rf.den_pow.items())
+    return num / den / prod((point[x] - point[y]) ** b for (x, y), b in rf.den_diff.items())
+
+
+def test_correlation_terms_match_the_normal_form():
+    """The Wick sum and the normal form of `correlation` are one function:
+    equal `expand_region` tables under three region orders with seeded
+    boxes, and equal values at seeded rational points.  The variables are
+    renamed out of canonical order, so the sum's differences (x the earlier
+    insertion) are often the reverse of the normal form's.  The sums are
+    never compared as dicts: they are not canonical."""
+    rng = random.Random(79)
+    pool = ["b", "a", "z10", "z2", "w", "z1", "c", "z11"]
+    cells = nonzero = 0
+    for space, ins in _correlation_cases():
+        names = rng.sample(pool, len(ins))
+        ins = [(w, v) for (w, _), v in zip(ins, names)]
+        wick_sum, rf = correlation_terms(space, ins), correlation(space, ins)
+        for _ in range(3):
+            d = rng.randint(1, 9)
+            point = {v: Fraction(x, d) for v, x in zip(names, rng.sample(range(-50, 50), len(names)))}
+            value = _normal_form_at(rf, point)
+            assert _wick_sum_at(wick_sum, point) == value, ins
+            nonzero += value != 0
+        # the normal form's walk is the slow side: its boxes shrink as points are added
+        lo, hi = (-5, 2) if len(names) < 6 else (-3, 1) if len(names) < 8 else (-3, 0)
+        for order in (names, names[::-1], rng.sample(names, len(names))):
+            box = [(rng.randint(lo, -1), rng.randint(0, hi)) for _ in names]
+            table = wick_sum.expand_region(order, box)
+            assert table == rf.expand_region(order, box), (ins, order, box)
+            cells += len(table.coeffs)
+    assert cells >= 150 and nonzero >= 72
+    assert correlation_terms(SPACE, []) == ({(): 1}, 1)
+    with pytest.raises(ValueError, match="distinct"):
+        correlation_terms(SPACE, [(((E1, -1),), "z"), (((F1, -1),), "z")])
+    with pytest.raises(ValueError, match="cover"):
+        correlation_terms(SPACE, [(((E1, -1),), "z1"), (((F1, -1),), "z2")]).expand_region(["z1"], [(0, 0)])
+
+
+def test_correlation_terms_expand_like_the_nested_series_at_eight_points():
+    """Eight alternating e1(-1/2), f1(-1/2) insertions under M = 1: the
+    Wick sum's table on [-2, 1]^8 equals the vacuum coefficients of the
+    nested vertex-operator series, built as in acceptance criterion 7."""
+    space = HSpace(1)
+    names = [f"z{i + 1}" for i in range(8)]
+    ins = [(((i % 2, -1),), v) for i, v in enumerate(names)]
+    box = ((-2, 1),) * 8
+    table = correlation_terms(space, ins).expand_region(names, box)
+    grid = {(): FockVector.vacuum()}
+    for word, _ in reversed(ins):
+        nxt = {}
+        for cell, v in grid.items():
+            for (k,), vec in y_series(space, FockVector.word(word), v, -2, 1).coeffs.items():
+                nxt[(k,) + cell] = vec
+        grid = nxt
+    want = {cell: vec.terms[()] for cell, vec in grid.items() if vec.terms.get(())}
+    assert table.coeffs == want
+    assert len(want) > 100
 
 
 def test_correlation_antisymmetry_for_identical_odd_insertions():
