@@ -312,9 +312,10 @@ def cmd_check(args) -> int:
     for flag in ("r", "s", "max_weight"):
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative")
-    for flag in ("r", "s"):
-        if getattr(args, flag) > 4:  # the wick suite's work grows steeply with the word lengths
-            raise UsageError(f"--{flag} = {getattr(args, flag)} is above the limit 4")
+    # the work of the wick suite grows steeply with the word lengths, of axioms and wick with the weight
+    for flag, limit in (("r", 4), ("s", 4), ("max_weight", 8)):
+        if getattr(args, flag) > limit:
+            raise UsageError(f"--{flag.replace('_', '-')} = {getattr(args, flag)} is above the limit {limit}")
     rep = Reporter(args.json)
     rng = random.Random(args.seed)
     max_w2 = 2 * args.max_weight

@@ -19,14 +19,15 @@ to the division, so no step rests on chance.
 
 The public operations return normal forms.  `deferred_pfaffian`, the
 Pfaffian of a kernel of rational functions, runs its memo over a private
-ring (`_Unreduced`) that shares their integer sum and product
-(`_int_sum`, `_int_product`) but never normalizes: it normalizes once,
-on the value it returns.
+subclass (`_Unreduced`) whose operators share their integer sum and
+product (`_int_sum`, `_int_product`) but never normalize: it normalizes
+once, on the value it returns.
 
-Regional expansion (`expand_region`) turns a rational function into the
-exact Laurent table of its iterated-series expansion in a declared region
-|z_{o1}| > |z_{o2}| > ... , certified on a requested exponent box; the
-walk (`region_cells`) stops at the box's lower edges as well as its upper.
+Regional expansion (`expand_region`; `expand_terms` for terms over one
+denominator) turns a rational function into the exact Laurent table of its
+iterated-series expansion in a region |z_{o1}| > |z_{o2}| > ..., certified
+on a requested exponent box; the walk (`region_cells`) stops at the box's
+lower edges as well as its upper.
 """
 from __future__ import annotations
 
@@ -152,17 +153,11 @@ def _divide_by_diff(a: Poly, i: int, j: int) -> Poly | None:
             cell2 = list(cell)
             cell2[i] += k - 1
             quotient[tuple(cell2)] = c
-        carry = {tuple(_bump(cell, j)): c for cell, c in layer.items()}
+        carry = _poly_shift(layer, j, 1)
     remainder = add_into(by_deg.get(0, {}), carry)
     if remainder:
         return None
     return quotient
-
-
-def _bump(cell: Cell, idx: int) -> Cell:
-    cell = list(cell)
-    cell[idx] += 1
-    return tuple(cell)
 
 
 class RationalFunction:
@@ -419,14 +414,7 @@ class RationalFunction:
         gives one (lo, hi) interval per order entry.  The result is exact
         on that box and contains no cells outside it.
         """
-        order = tuple(order)
-        if set(self.vars) - set(order):
-            raise ValueError("region order must cover all variables")
-        box = Box(order, box_intervals)
-        npos = {v: i for i, v in enumerate(order)}
-        table = region_cells(self, npos, [hi for _, hi in box.intervals], floors=[lo for lo, _ in box.intervals])
-        den = self.int_den
-        return LaurentPoly(order, {cell: Fraction(c, den) for cell, c in table.items()})
+        return expand_terms([self], self.int_den, order, box_intervals)
 
     # -- rendering ----------------------------------------------------------
 
@@ -492,70 +480,68 @@ def _int_product(a, b, variables):
     return num, a.int_den * b.int_den, den_pow, den_diff
 
 
-class _Unreduced:
-    """An element of the ring `deferred_pfaffian` runs its memo over.
-
-    It holds the data of a RationalFunction with its numerator over one
-    variable tuple shared by every element of the ring, and it is never
-    normalized: a sum lifts both operands to the larger exponents, a
-    product adds them (`_int_sum`, `_int_product`, the bodies of the
-    public operators).  `support` is the bitmask of the variables the
-    equal RationalFunction would carry.
+class _Unreduced(RationalFunction):
+    """An element of the ring `deferred_pfaffian` runs its memo over: a
+    RationalFunction whose numerator is over one variable tuple shared by
+    every element of the ring, and which is never normalized.  A sum lifts
+    both operands to the larger exponents, a product adds them
+    (`_int_sum`, `_int_product`, the bodies of the public operators).
     """
 
-    __slots__ = ("vars", "support", "int_num", "int_den", "den_pow", "den_diff")
-
-    _embedded = RationalFunction._embedded
-    _lifted = RationalFunction._lifted
-
-    def __init__(self, variables, support, num, den, den_pow, den_diff):
-        self.vars = variables
-        self.support = support
-        self.int_num = num
-        self.int_den = den
-        self.den_pow = den_pow
-        self.den_diff = den_diff
-
-    def _new(self, *data) -> "_Unreduced":
-        return _Unreduced(self.vars, *data)
+    __slots__ = ()
 
     def __add__(self, other):
-        return self._new(self.support | other.support, *_int_sum(self, other, self.vars))
+        return _Unreduced._raw(self.vars, *_int_sum(self, other, self.vars))
 
     def __mul__(self, other):
-        return self._new(self.support | other.support, *_int_product(self, other, self.vars))
+        return _Unreduced._raw(self.vars, *_int_product(self, other, self.vars))
 
     def __neg__(self):
         num = {cell: -c for cell, c in self.int_num.items()}
-        return self._new(self.support, num, self.int_den, self.den_pow, self.den_diff)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return _Unreduced._raw(self.vars, num, self.int_den, self.den_pow, self.den_diff)
 
 
 def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask: int) -> RationalFunction:
     """pfaffian(kernel, [mask], RationalFunction.from_scalar(1))[mask], equal
     down to `vars` and the rendered form, with one normalization in all.
 
-    Every kernel entry is embedded once over the union of the entries'
-    variables; the memo runs over `_Unreduced`, and only its value on
-    `mask` is normalized.
+    The memo runs over `_Unreduced`, every entry embedded once over the
+    union of the entries' variables.  The value keeps the variables of its
+    difference factors: those of the plain route when every entry is
+    w / (z_i - z_j)^k with w != 0 and k >= 1, as `wick.correlation` builds
+    them, since products add difference exponents and sums lift to the larger.
     """
     variables = tuple(sorted({v for row in kernel.values() for rf in row.values() for v in rf.vars}, key=_var_key))
-    bits = {v: 1 << i for i, v in enumerate(variables)}
 
     def embed(rf: RationalFunction) -> _Unreduced:
-        support = sum(bits[v] for v in rf.vars)
-        return _Unreduced(variables, support, rf._embedded(variables), rf.int_den, rf.den_pow, rf.den_diff)
+        return _Unreduced._raw(variables, rf._embedded(variables), rf.int_den, rf.den_pow, rf.den_diff)
 
     ring = {p: {q: embed(rf) for q, rf in row.items()} for p, row in kernel.items()}
     value = pfaffian(ring, [mask], embed(RationalFunction.from_scalar(1)))[mask]
-    keep = [i for i in range(len(variables)) if value.support >> i & 1]
+    used = {v for pair in value.den_diff for v in pair}
+    keep = [i for i, v in enumerate(variables) if v in used]
     num = value.int_num
     if len(keep) < len(variables):
         num = {tuple(cell[i] for i in keep): c for cell, c in num.items()}
     kept = tuple(variables[i] for i in keep)
     return RationalFunction._from_ints(kept, num, value.int_den, value.den_pow, value.den_diff)
+
+
+def expand_terms(terms: Sequence[RationalFunction], den: int, order: Iterable[str], box_intervals) -> LaurentPoly:
+    """Exact Laurent table of the sum of `terms`, their int numerators read
+    over the one denominator `den`, in the region |o1| > |o2| > ... on a box:
+    one `region_cells` walk per term, capped and floored by the box, and one
+    division.  `order` must cover the variables of every term."""
+    order = tuple(order)
+    if {v for rf in terms for v in rf.vars} - set(order):
+        raise ValueError("region order must cover all variables")
+    box = Box(order, box_intervals)
+    npos = {v: i for i, v in enumerate(order)}
+    caps, floors = [hi for _, hi in box.intervals], [lo for lo, _ in box.intervals]
+    table: Dict[Cell, int] = {}
+    for rf in terms:
+        add_into(table, region_cells(rf, npos, caps, floors=floors))
+    return LaurentPoly(order, {cell: Fraction(c, den) for cell, c in table.items()})
 
 
 def region_cells(

@@ -32,7 +32,6 @@ the normal form and its `expand_region` are the oracle for that route.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm
 from operator import add
@@ -41,7 +40,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 from .fock import FockVector, HSpace, Word, check_report, wrap_table
 from .laurent import Box, LaurentPoly
 from .pfaffian import det, pfaffian
-from .ratfun import RationalFunction, deferred_pfaffian, f_mn, region_cells
+from .ratfun import RationalFunction, deferred_pfaffian, expand_terms, f_mn, region_cells
 from .scalars import add_into, binom, clear_denominators
 from .vertex import Cell, iterate_series, product_series, series_into
 
@@ -279,19 +278,10 @@ class WickSum(NamedTuple):
 
     def expand_region(self, order: Sequence[str], box_intervals) -> LaurentPoly:
         """The table of `RationalFunction.expand_region` for the same
-        function: every term through the one walker `ratfun.region_cells`,
-        its ints added over `den`."""
-        order = tuple(order)
-        if {v for key in self.terms for pair, _ in key for v in pair} - set(order):
-            raise ValueError("region order must cover all variables")
-        box = Box(order, box_intervals)
-        npos = {v: i for i, v in enumerate(order)}
-        caps, floors = [hi for _, hi in box.intervals], [lo for lo, _ in box.intervals]
-        table: Dict[Cell, int] = {}
-        for key, c in self.terms.items():
-            add_into(table, region_cells(RationalFunction.diff_product(dict(key), c), npos, caps, floors=floors))
-        den = self.den
-        return LaurentPoly(order, {cell: Fraction(c, den) for cell, c in table.items()})
+        function: every term through `ratfun.expand_terms`, its ints added
+        over `den`."""
+        terms = [RationalFunction.diff_product(dict(key), c) for key, c in self.terms.items()]
+        return expand_terms(terms, self.den, order, box_intervals)
 
 
 class _InversePowers:

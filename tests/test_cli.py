@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import prod
 from pathlib import Path
 
@@ -346,6 +347,14 @@ def test_cli_check_rejects_negative_counts(flag, capsys):
         argv = ["--json", "check", "--suite", "wick", "--r", "4", "--s", "4", "--max-weight", "0"]
         assert main(argv + ["--window=-40,-39", "--seed", "1"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2 * 25 + 3
+    else:
+        # weights above 8 are refused up front, before any sampling
+        start = time.perf_counter()
+        assert main(["--json", "check", flag, "9"]) == 2
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and flag in out.err and "limit 8" in out.err
+        assert main(["--json", "check", "--suite", "axioms", "--seed", "0", flag, "8"]) == 0
 
 
 @pytest.mark.parametrize("suite", ["wick", "delta", "pbw"])

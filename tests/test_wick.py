@@ -343,6 +343,17 @@ def test_correlation_matches_the_plain_pfaffian_route():
     assert nonzero >= 24
 
 
+def test_correlation_normalizes_once(monkeypatch):
+    """A nonzero correlation on the dense M = 2 Gram normalizes exactly
+    once: the Pfaffian's ring never does, only the value it returns."""
+    ins = [(((g, -1 - i % 2),), f"z{i + 1}") for i, g in enumerate((E1, E2, F1, F2))]
+    calls = []
+    normalize = RationalFunction._normalize
+    monkeypatch.setattr(RationalFunction, "_normalize", lambda rf: calls.append(rf) or normalize(rf))
+    assert not correlation(HSpace(2, FULL_GRAM_2), ins).is_zero()
+    assert len(calls) == 1
+
+
 def _wick_sum_at(wick_sum, point):
     total = Fraction(0)
     for key, c in wick_sum.terms.items():
@@ -387,8 +398,13 @@ def test_correlation_terms_match_the_normal_form():
     assert correlation_terms(SPACE, []) == ({(): 1}, 1)
     with pytest.raises(ValueError, match="distinct"):
         correlation_terms(SPACE, [(((E1, -1),), "z"), (((F1, -1),), "z")])
-    with pytest.raises(ValueError, match="cover"):
-        correlation_terms(SPACE, [(((E1, -1),), "z1"), (((F1, -1),), "z2")]).expand_region(["z1"], [(0, 0)])
+    # both expansion routes agree on the empty-insertion sum and refuse the same order
+    empty = correlation_terms(SPACE, []).expand_region([], [])
+    assert empty.coeffs == {(): 1} and empty == correlation(SPACE, []).expand_region([], [])
+    ins = [(((E1, -1),), "z1"), (((F1, -1),), "z2")]
+    for route in (correlation_terms(SPACE, ins), correlation(SPACE, ins)):
+        with pytest.raises(ValueError, match="^region order must cover all variables$"):
+            route.expand_region(["z1"], [(0, 0)])
 
 
 def test_correlation_terms_expand_like_the_nested_series_at_eight_points():
