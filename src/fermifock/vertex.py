@@ -42,7 +42,7 @@ def _shuffle_sign(left_positions: Sequence[int]) -> int:
 def enumerate_shuffles(r: int, eta: int) -> List[Shuffle]:
     """All C(r, eta) 2-shuffles splitting {1..r} into blocks of size eta, r-eta.
 
-    An oracle for the shuffle signs that `series_into` computes per mask."""
+    An oracle for the signs `series_into` builds one contraction at a time."""
     if not 0 <= eta <= r:
         raise ValueError("block size out of range")
     out = []
@@ -87,20 +87,23 @@ def series_into(
     same path.  The caller divides its common denominator out once per
     entry, in `fock.wrap_table`.
 
-    Each (source, target word, creation mask) first runs its annihilators
-    against the target word.  Every annihilator removes a distinct letter
-    of the word, so a mask with more annihilators than the longest target
-    word has no term and is skipped before its plan is built.  What is
-    left is a partial state: the remaining creation factors (a suffix of
-    the mask's creations), the modes built so far, the rest of the target
-    word, and the exponents charged so far.  The creation stage is one
-    layered frontier of such states, from the longest remaining suffix
-    down; equal partial states of different sources, words or masks are
-    summed before they are expanded further, so words that share their
-    tails are walked once.  Each suffix node keeps, for this call only,
-    its list of (mode, C(n, m)) by exponent, so no leaf computes a
-    binomial or builds a mode tuple.  The last creation writes straight
-    into the table.
+    Each (source, target word) walks the source's factors from right to
+    left.  At each factor a partial state either puts the factor in front
+    of its creation suffix or contracts it with a letter of the rest of the
+    word; the contraction at word position idx carries (-1)^idx times
+    (-1)^(creations already chosen to its right), whose product over the
+    annihilators is the 2-shuffle sign of the split.  Splits that agree on
+    their right-hand factors share that part of the walk, and a split with
+    more annihilators than letters dies when the word runs out.  What is
+    left is a partial state: the creation suffix, the modes built so far,
+    the rest of the target word, and the exponents charged so far.  The
+    creation stage is one layered frontier of such states, from the longest
+    remaining suffix down; equal partial states of different sources,
+    words or splits are summed before they are expanded further, so words
+    that share their tails are walked once.  Each suffix node keeps, for
+    this call only, its list of (mode, C(n, m)) by exponent, so no leaf
+    computes a binomial or builds a mode tuple.  The last creation writes
+    straight into the table.
 
     Termination: annihilation modes must contract against creation modes
     already present in the target, which pins their levels; creation levels
@@ -112,15 +115,15 @@ def series_into(
     his = tuple(hi for _, hi in intervals)
     pair = space.pair
     # creation suffixes are interned as linked nodes, so equal suffixes of
-    # different sources and masks share one id: id -> (gen, m, slots, the
-    # slot if there is only one, id of the rest, its (mode, C(n, m)) list);
-    # id 0 is the empty suffix
+    # different sources share one id: id -> (gen, m, slots, the slot if
+    # there is only one, id of the rest, its (mode, C(n, m)) list); id 0 is
+    # the empty suffix
     node_ids: Dict[tuple, int] = {}
     nodes: List[tuple] = [()]
     # layers[L]: (suffix id, built prefix, rest of the target word, exps) ->
     # coefficient, for the partial states with L creations left
     layers: List[Dict[tuple, int]] = [{}]
-    longest = max(map(len, terms), default=0)
+    zero = (0,) * nv
 
     for factors, scale in sources:
         # a factor may charge its exponent to several slots at once: the
@@ -131,93 +134,79 @@ def series_into(
         r = len(norm)
         while len(layers) <= r:
             layers.append({})
-
-        # per creation mask: its shuffle sign, creation count and suffix id,
-        # and the annihilators in acting order (rightmost first), each with
-        # the slots no annihilator further left still charges (totals there
-        # only grow)
-        plans = []
-        for mask in range(1 << r):
-            if r - mask.bit_count() > longest:
-                continue  # dead: more annihilators than letters to contract
-            ann = [norm[i] for i in range(r) if not mask >> i & 1]
-            cre = [norm[i] for i in range(r) if mask >> i & 1]
-            steps = []
-            for pos in range(len(ann) - 1, -1, -1):
-                gen, m, slots = ann[pos]
-                open_slots = set()
-                for f in ann[:pos]:
-                    open_slots.update(f[2])
-                steps.append((gen, m, slots, [s for s in slots if s not in open_slots]))
-            sid = 0
-            for gen, m, slots in reversed(cre):
-                key = (gen, m, slots, sid)
-                nid = node_ids.get(key)
-                if nid is None:
-                    nid = node_ids[key] = len(nodes)
-                    nodes.append((gen, m, slots, slots[0] if len(slots) == 1 else None, sid, []))
-                sid = nid
-            sign = _shuffle_sign([i + 1 for i in range(r) if mask >> i & 1])
-            plans.append((sign, len(cre), sid, steps))
+        # the factors from right to left, each with the slots no factor
+        # further left charges (a total above hi there cannot come back
+        # down) and its suffix node by the id of the suffix to its right
+        walk = []
+        for i in range(r - 1, -1, -1):
+            gen, m, slots = norm[i]
+            left = {s for f in norm[:i] for s in f[2]}
+            walk.append((gen, m, slots, [s for s in slots if s not in left], {}))
 
         for word_v, cv in terms.items():
             cv = cv * scale
             if not cv:
                 continue
-            for sign, ncre, sid, steps in plans:
-                # annihilation stage: a contraction at word position idx fixes
-                # the mode level and carries (-1)^idx.  Totals above hi can only
-                # be pruned once no annihilator remains at that slot
-                # (annihilators push down, creations push up).
-                states = [(word_v, sign, (0,) * nv)]
-                for gen, m, slots, closed in steps:
-                    nxt = []
-                    for w, c, exps in states:
-                        psign = 1
-                        for idx, (g2, level) in enumerate(w):
-                            p = pair(gen, g2)
-                            if p:
-                                coeff = binom(level, m)  # C(-n-1, m) with n = -level-1
-                                if coeff:
-                                    delta = level - m  # -n-m-1
-                                    if len(slots) == 1:
-                                        s0 = slots[0]
-                                        ev = exps[s0] + delta
-                                        if closed and ev > his[s0]:
-                                            psign = -psign
-                                            continue
-                                        e2 = exps[:s0] + (ev,) + exps[s0 + 1 :]
-                                    else:
-                                        es = list(exps)
-                                        for s in slots:
-                                            es[s] += delta
-                                        if any(es[s] > his[s] for s in closed):
-                                            psign = -psign
-                                            continue
-                                        e2 = tuple(es)
-                                    nxt.append(
-                                        (w[:idx] + w[idx + 1 :], c * p * psign * coeff, e2)
-                                    )
-                            psign = -psign
-                    states = nxt
-                    if not states:
-                        break
+            # annihilation stage: (suffix id, creations, rest of the target
+            # word, coefficient, exps).  At each factor a state either puts
+            # it in front of its creation suffix or contracts it at word
+            # position idx, which fixes the mode level and carries (-1)^idx
+            # times (-1)^(creations to its right): the 2-shuffle sign
+            states = [(0, 0, word_v, cv, zero)]
+            for gen, m, slots, closed, cre_ids in walk:
+                nxt = []
+                for sid, ncre, w, c, exps in states:
+                    nid = cre_ids.get(sid)
+                    if nid is None:
+                        key = (gen, m, slots, sid)
+                        nid = node_ids.get(key)
+                        if nid is None:
+                            nid = node_ids[key] = len(nodes)
+                            nodes.append((gen, m, slots, slots[0] if len(slots) == 1 else None, sid, []))
+                        cre_ids[sid] = nid
+                    nxt.append((nid, ncre + 1, w, c, exps))
+                    psign = -1 if ncre & 1 else 1
+                    for idx, (g2, level) in enumerate(w):
+                        p = pair(gen, g2)
+                        if p:
+                            coeff = binom(level, m)  # C(-n-1, m) with n = -level-1
+                            if coeff:
+                                delta = level - m  # -n-m-1
+                                if len(slots) == 1:
+                                    s0 = slots[0]
+                                    ev = exps[s0] + delta
+                                    if closed and ev > his[s0]:
+                                        psign = -psign
+                                        continue
+                                    e2 = exps[:s0] + (ev,) + exps[s0 + 1 :]
+                                else:
+                                    es = list(exps)
+                                    for s in slots:
+                                        es[s] += delta
+                                    if any(es[s] > his[s] for s in closed):
+                                        psign = -psign
+                                        continue
+                                    e2 = tuple(es)
+                                nxt.append(
+                                    (sid, ncre, w[:idx] + w[idx + 1 :], c * p * psign * coeff, e2)
+                                )
+                        psign = -psign
+                states = nxt
+            for sid, ncre, w, c, exps in states:
+                if any(map(gt, exps, his)):
+                    continue
                 if ncre:
                     layer = layers[ncre]
-                    for w, c, exps in states:
-                        if not any(map(gt, exps, his)):
-                            key = (sid, (), w, exps)
-                            layer[key] = layer.get(key, 0) + cv * c
-                    continue
-                for w, c, exps in states:
-                    if all(map(le, los, exps)) and not any(map(gt, exps, his)):
-                        # inline, not scalars.add_term: the engine's hottest writes
-                        row = table.setdefault(exps, {})
-                        s = row.get(w, 0) + cv * c
-                        if s:
-                            row[w] = s
-                        else:
-                            row.pop(w, None)
+                    key = (sid, (), w, exps)
+                    layer[key] = layer.get(key, 0) + c
+                elif all(map(le, los, exps)):
+                    # inline, not scalars.add_term: the engine's hottest writes
+                    row = table.setdefault(exps, {})
+                    s = row.get(w, 0) + c
+                    if s:
+                        row[w] = s
+                    else:
+                        row.pop(w, None)
 
     # creation stage: levels n = e + m with e >= 0, coefficient C(n, m);
     # modes[e] of a node is ((gen, -n-1),) and C(n, m), grown on demand
@@ -399,8 +388,10 @@ def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> d
     The product side substitutes x0+x2 for the first operator variable,
     expanded in nonnegative powers of x2; P clears every pole in x0+x2
     and is independent of u2.  Both grids are int tables over one common
-    denominator, so both sides are folded and compared as ints.  Every
-    window cell is compared; `nonzero` counts those with a nonzero side.
+    denominator, so each cell folds into one int dict: the product rows,
+    then the iterate rows taken off; the cell is a mismatch when that dict
+    is nonempty.  Every window cell is compared; `nonzero` counts those with
+    a nonzero side.
     """
     (u2_terms, _), (w_terms, _) = (clear_denominators(_as_vector(s).terms) for s in (u2, w))
     u1 = {tuple(u1_word): 1}
@@ -427,19 +418,19 @@ def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> d
     for j1 in range(lo1, hi1 + 1):
         for j2 in range(lo2, hi2 + 1):
             total = j1 + j2 - P
-            lhs = _binomial_fold(
+            cell = _binomial_fold(
                 (prod_grid[(total - k2, k2)], binom(total - k2 + P, total - k2 + P - j1))
                 for k2 in range(t2min, j2 + 1)
                 if (total - k2, k2) in prod_grid
             )
-            rhs = _binomial_fold(
-                (iter_grid[(j1 - P + i, j2 - i)], binom(P, i))
-                for i in range(P + 1)
-                if (j1 - P + i, j2 - i) in iter_grid
-            )
-            if lhs or rhs:
+            lhs = bool(cell)
+            for i in range(P + 1):
+                row = iter_grid.get((j1 - P + i, j2 - i))
+                if row:
+                    add_into(cell, row, -binom(P, i))
+            if lhs or cell:
                 nonzero += 1
-            if lhs != rhs:
+            if cell:
                 mismatches.append((j1, j2))
     compared = (hi1 - lo1 + 1) * (hi2 - lo2 + 1)
     return check_report(

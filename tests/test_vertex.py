@@ -47,6 +47,10 @@ MIXED_DENOMINATORS = (Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), Fraction(
 
 
 def test_enumerate_shuffles_counts_and_signs():
+    """Also the sign rule of series_into: for every creation subset of
+    r <= 6 factors, the product over the annihilators of
+    (-1)^(creations to its right) is the sign of the 2-shuffle that puts
+    the creations left."""
     two = enumerate_shuffles(2, 1)
     assert [(s.left, s.sign) for s in two] == [((1,), 1), ((2,), -1)]
     for r in range(7):
@@ -55,6 +59,10 @@ def test_enumerate_shuffles_counts_and_signs():
             assert len(shuffles) == comb(r, eta)
             for s in shuffles:
                 assert sorted(s.left + s.right) == list(range(1, r + 1))
+                walk = 1
+                for a in s.right:
+                    walk *= (-1) ** sum(c > a for c in s.left)
+                assert walk == s.sign, (r, s)
     assert enumerate_shuffles(5, 0) == [((), (1, 2, 3, 4, 5), 1)]
     assert enumerate_shuffles(5, 5)[0].sign == 1
 
@@ -645,11 +653,11 @@ def test_merged_series_walk_matches_one_source_calls_and_mode_oracle():
 
 
 def test_dead_mask_skip_matches_mode_oracle():
-    """A mask with more annihilators than the longest target word is
-    skipped, since each annihilator removes a distinct letter.  Sources of
-    up to 4 factors on a vacuum target and on one-letter targets keep every
-    mask with as many annihilators as letters; the grid must equal the
-    mode-by-mode oracle."""
+    """A mask with more annihilators than the longest target word has no
+    term, since each annihilator removes a distinct letter: the walk kills
+    it when the word runs out of letters.  Sources of up to 4 factors on a
+    vacuum target and on one-letter targets keep every mask with as many
+    annihilators as letters; the grid must equal the mode-by-mode oracle."""
     rng = random.Random(2718)
     intervals = ((-2, 2), (-1, 2))
     nonzero = 0
@@ -665,6 +673,32 @@ def test_dead_mask_skip_matches_mode_oracle():
                 assert grid == _mode_oracle(space, factors, v, intervals), (factors, v)
                 nonzero += len(grid)
     assert nonzero
+
+
+def test_five_factor_walk_matches_mode_oracle():
+    """Five-factor sources on two- and three-letter targets whose letters
+    pair with some of the factors: splits with more annihilators than
+    letters die when the word runs out.  Some factors charge the tuple slot
+    (0, 1), and the upper edges sit below 0, so the walk drops a total above
+    hi only at the leftmost factor charging its slot, and states with no
+    annihilator at a slot at the end of the walk.  The grid must equal the
+    mode-by-mode oracle."""
+    rng = random.Random(5151)
+    intervals = ((-4, -2), (-3, -1))
+    nonzero = 0
+    for space in (SPACE, HSpace(2, RATIONAL_GRAM)):
+        for length in (2, 3):
+            for _ in range(2):
+                factors = tuple(
+                    (rng.randrange(4), rng.randint(0, 1) if i == 0 else 0, rng.choice((0, 1, (0, 1))))
+                    for i in range(5)
+                )
+                duals = tuple(((factors[i][0] + 2) % 4, -1) for i in rng.sample(range(5), length))
+                v = FockVector.word(duals, Fraction(-5, 7))
+                grid = ordered_factor_series(space, factors, v, intervals)
+                assert grid == _mode_oracle(space, factors, v, intervals), (factors, v)
+                nonzero += len(grid)
+    assert nonzero >= 10
 
 
 def test_last_creation_window_check_matches_mode_oracle():
