@@ -25,7 +25,7 @@ from .delta import (
     exp_delta_iterated,
 )
 from .fock import FockVector, HSpace, Word, random_state, random_word
-from .laurent import Box
+from .laurent import Box, LaurentPoly
 from .scalars import format_rational, parse_rational
 from .straightening import K, check_confluence, defect
 from .vertex import check_axioms, check_weak_associativity
@@ -140,7 +140,8 @@ def parse_state(space: HSpace, text: str) -> FockVector:
 
 
 def parse_insertion(space: HSpace, text: str) -> Tuple[Word, Fraction, str]:
-    """Parse 'STATE @ var' where STATE is a single scaled word."""
+    """Parse 'STATE @ var' where STATE is a single scaled word or zero;
+    zero gives the empty word with coefficient 0."""
     if "@" not in text:
         raise UsageError(f"insertion {text!r} needs the form 'STATE @ var'")
     state_text, var = text.rsplit("@", 1)
@@ -148,9 +149,9 @@ def parse_insertion(space: HSpace, text: str) -> Tuple[Word, Fraction, str]:
     if not re.fullmatch(r"[A-Za-z]\w*", var):
         raise UsageError(f"bad variable name {var!r}")
     vec = parse_state(space, state_text.strip())
-    if len(vec.terms) != 1:
+    if len(vec.terms) > 1:
         raise UsageError("each insertion must be a single word")
-    word, coeff = next(iter(vec.terms.items()))
+    word, coeff = next(iter(vec.terms.items()), ((), Fraction(0)))
     return word, coeff, var
 
 
@@ -342,7 +343,11 @@ def cmd_check(args) -> int:
 def cmd_correlate(args) -> int:
     space = load_config(args.config)[0]
     insertions, scale = _parse_insertions(space, args.insertions)
-    rf = correlation(space, insertions).scale(scale)
+    try:
+        # a zero insertion (scale 0) makes the correlation 0: no Pfaffian is run
+        rf = correlation(space, insertions if scale else []).scale(scale)
+    except ValueError as e:  # exponents beyond a packed numerator field
+        raise UsageError(str(e))
     print(json.dumps({"correlation": rf.render()}))
     if not args.json:
         print(rf.render(), file=sys.stderr)
@@ -356,7 +361,8 @@ def cmd_expand(args) -> int:
     if sorted(order) != sorted(v for _, v in insertions):
         raise UsageError("--order must list exactly the insertion variables")
     window = _parse_window(args.window, len(order))
-    table = correlation_terms(space, insertions).expand_region(order, window)
+    # a zero insertion (scale 0) makes every cell 0: nothing is expanded or printed
+    table = correlation_terms(space, insertions).expand_region(order, window) if scale else LaurentPoly(order)
     for cell, value in table.items():
         print(json.dumps({"cell": list(cell), "value": format_rational(value * scale)}))
     if not args.json:

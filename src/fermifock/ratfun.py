@@ -17,11 +17,18 @@ when it can succeed: the numerator is first evaluated modulo the prime
 proves that z_i - z_j does not divide it.  A zero residue falls through
 to the division, so no step rests on chance.
 
-The public operations return normal forms.  `deferred_pfaffian`, the
-Pfaffian of a kernel of rational functions, runs its memo over a private
-subclass (`_Unreduced`) whose operators share their integer sum and
-product (`_int_sum`, `_int_product`) but never normalize: it normalizes
-once, on the value it returns.
+Sums and products run in a packed ring, a private subclass
+(`_Unreduced`) whose numerator cells are packed into one int each:
+variable i of its variable tuple holds bits [32 i, 32 i + 32), so a
+monomial product is one int addition (`_poly_mul`) and no tuple is built
+or hashed per term.  A field holds an exponent in [0, 2^32); entering
+the ring (`_packed_ring`) refuses with ValueError any operands whose
+sums and products could reach 2^32, so no field ever carries into the
+next.  The ring never normalizes.  The public `+` and `*` pack both
+operands, compute one ring sum or product, unpack its cells once
+(`struct` "<nI") and normalize.  `deferred_pfaffian`, the Pfaffian of a
+kernel of rational functions, runs its whole memo in the ring and
+unpacks and normalizes once, on the value it returns.
 
 Regional expansion (`expand_region`; `expand_terms` for terms over one
 denominator) turns a rational function into the exact Laurent table of its
@@ -31,9 +38,9 @@ lower edges as well as its upper.
 """
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
-from operator import add
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .laurent import Box, LaurentPoly
@@ -42,21 +49,42 @@ from .scalars import add_into, add_term, binom, clear_denominators, format_ratio
 
 Cell = Tuple[int, ...]
 Poly = Dict[Cell, int]  # integer coefficients, zeros absent
+Packed = Dict[int, int]  # the same, each cell packed into one int (`_pack`)
 
 _PRIME = (1 << 61) - 1
+_FIELD = 32  # bits per exponent in a packed cell
+_LIMIT = 1 << _FIELD
 
 
 def _var_key(name: str):
     return (len(name), name)
 
 
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
+def _pack(cell: Sequence[int], slots: Sequence[int]) -> int:
+    """One int holding exponent cell[k] in bits [32 s, 32 s + 32) for
+    s = slots[k]; each exponent must lie in [0, 2^32)."""
+    return sum(e << _FIELD * s for e, s in zip(cell, slots))
+
+
+def _unpack(num: Packed, nvars: int) -> Poly:
+    """A packed numerator over `nvars` variables, its cells as tuples."""
+    unpack, size = struct.Struct(f"<{nvars}I").unpack, 4 * nvars
+    return {unpack(key.to_bytes(size, "little")): c for key, c in num.items()}
+
+
+def _poly_mul(a: Packed, b: Packed) -> Packed:
+    """Product of packed numerators: a monomial product is one int addition.
+    The outer loop runs over `b`, so callers pass the smaller operand
+    there; a one-cell `b` only shifts and scales `a`."""
+    if len(b) == 1:
+        ((shift, k),) = b.items()
+        return {c + shift: v * k for c, v in a.items()}
+    out: Packed = {}
     # inline, not scalars.add_term: zeros are dropped once, after the convolution
     get = out.get
-    for c1, v1 in a.items():
-        for c2, v2 in b.items():
-            cell = tuple(map(add, c1, c2))
+    for c2, v2 in b.items():
+        for c1, v1 in a.items():
+            cell = c1 + c2
             out[cell] = get(cell, 0) + v1 * v2
     return {cell: c for cell, c in out.items() if c}
 
@@ -79,15 +107,9 @@ def _reduced(num: Poly, den: int) -> Tuple[Poly, int]:
     return num, den
 
 
-def _diff_poly(nvars: int, i: int, j: int, power: int) -> Poly:
-    """(z_i - z_j)^power by the binomial theorem, power >= 0."""
-    out: Poly = {}
-    for t in range(power + 1):
-        cell = [0] * nvars
-        cell[i] = power - t
-        cell[j] = t
-        out[tuple(cell)] = -binom(power, t) if t & 1 else binom(power, t)
-    return out
+def _diff_poly(i: int, j: int, power: int) -> Packed:
+    """(z_i - z_j)^power by the binomial theorem, power >= 0, packed."""
+    return {_pack((power - t, t), (i, j)): -binom(power, t) if t & 1 else binom(power, t) for t in range(power + 1)}
 
 
 def _proof_value(idx: int) -> int:
@@ -294,35 +316,6 @@ class RationalFunction:
 
     # -- variable plumbing ----------------------------------------------
 
-    def _embedded(self, variables: Tuple[str, ...]) -> Poly:
-        """The integer numerator re-keyed over a superset variable tuple."""
-        if variables == self.vars:
-            return self.int_num
-        pos = [variables.index(v) for v in self.vars]
-        num: Poly = {}
-        for cell, c in self.int_num.items():
-            big = [0] * len(variables)
-            for p, e in zip(pos, cell):
-                big[p] = e
-            num[tuple(big)] = c
-        return num
-
-    def _lifted(self, variables, den: int, den_pow, den_diff) -> Poly:
-        """The integer numerator over a common denominator that this one divides."""
-        nv = len(variables)
-        cell = [0] * nv
-        for v, a in den_pow.items():
-            cell[variables.index(v)] = a - self.den_pow.get(v, 0)
-        factor = {tuple(cell): den // self.int_den}
-        for (x, y), b in den_diff.items():
-            extra = b - self.den_diff.get((x, y), 0)
-            if extra:
-                factor = _poly_mul(factor, _diff_poly(nv, variables.index(x), variables.index(y), extra))
-        num = self._embedded(variables)
-        if factor == {(0,) * nv: 1}:
-            return num
-        return _poly_mul(num, factor)
-
     @staticmethod
     def _merge_vars(a: "RationalFunction", b: "RationalFunction") -> Tuple[str, ...]:
         if a.vars == b.vars:
@@ -334,8 +327,8 @@ class RationalFunction:
     def __add__(self, other) -> "RationalFunction":
         if not isinstance(other, RationalFunction):
             other = RationalFunction.from_scalar(other)
-        variables = self._merge_vars(self, other)
-        return RationalFunction._from_ints(variables, *_int_sum(self, other, variables))
+        a, b = _packed_ring([self, other], self._merge_vars(self, other))
+        return (a + b)._unpacked()
 
     def __neg__(self):
         num = {cell: -c for cell, c in self.int_num.items()}
@@ -349,8 +342,8 @@ class RationalFunction:
     def __mul__(self, other) -> "RationalFunction":
         if not isinstance(other, RationalFunction):
             return self.scale(other)
-        variables = self._merge_vars(self, other)
-        return RationalFunction._from_ints(variables, *_int_product(self, other, variables))
+        a, b = _packed_ring([self, other], self._merge_vars(self, other))
+        return (a * b)._unpacked()
 
     def scale(self, value) -> "RationalFunction":
         """Multiply by a scalar; a nonzero scalar keeps the normal form."""
@@ -450,55 +443,100 @@ class RationalFunction:
         return self.render()
 
 
-def _int_sum(a, b, variables):
-    """(num, den, den_pow, den_diff) of a + b over `variables`, not normalized:
-    both operands lifted to the larger exponent of every factor."""
+def _packed_ring(rfs: Sequence[RationalFunction], variables: Tuple[str, ...]) -> List["_Unreduced"]:
+    """`rfs` as elements of the packed ring over `variables`, a superset of
+    their variables.
+
+    Refuses with ValueError unless every exponent that sums and products of
+    them can reach is below 2^32, so that no packed field ever carries into
+    the next.  Per variable, the top numerator exponent plus the degree of
+    the denominator in it, summed over `rfs`, bounds them all: a product
+    adds numerator exponents, and a sum lifts by a quotient of denominators.
+    """
+    slot = {v: s for s, v in enumerate(variables)}
+    bound = [0] * len(variables)
+    ring = []
+    for rf in rfs:
+        slots = [slot[v] for v in rf.vars]
+        for s, top in zip(slots, map(max, zip(*rf.int_num))):
+            bound[s] += top
+        for v, a in rf.den_pow.items():
+            bound[slot[v]] += a
+        for (x, y), b in rf.den_diff.items():
+            bound[slot[x]] += b
+            bound[slot[y]] += b
+        num = {_pack(cell, slots): c for cell, c in rf.int_num.items()}
+        ring.append(_Unreduced._raw(variables, num, rf.int_den, rf.den_pow, rf.den_diff))
+    if max(bound, default=0) >= _LIMIT:
+        raise ValueError(f"an exponent could reach 2^{_FIELD}, beyond a packed numerator field")
+    return ring
+
+
+def _int_sum(a, b):
+    """(num, den, den_pow, den_diff) of a + b, not normalized: both packed
+    operands lifted to the larger exponent of every factor."""
     p1, p2, d1, d2 = a.den_pow, b.den_pow, a.den_diff, b.den_diff
     den_pow = {v: max(p1.get(v, 0), p2.get(v, 0)) for v in set(p1) | set(p2)}
     den_diff = {k: max(d1.get(k, 0), d2.get(k, 0)) for k in set(d1) | set(d2)}
     den = lcm(a.int_den, b.int_den)
-    num = add_into(
-        dict(a._lifted(variables, den, den_pow, den_diff)),
-        b._lifted(variables, den, den_pow, den_diff),
-    )
+    num = add_into(a._lifted(den, den_pow, den_diff), b._lifted(den, den_pow, den_diff))
     return num, den, den_pow, den_diff
 
 
-def _int_product(a, b, variables):
-    """(num, den, den_pow, den_diff) of a * b over `variables`, not normalized:
-    the exponents add, and a left operand that is one constant cell (as
-    every Pfaffian kernel entry is) only scales the right numerator."""
+def _int_product(a, b):
+    """(num, den, den_pow, den_diff) of a * b, not normalized: the exponents
+    add.  The smaller numerator goes second into `_poly_mul`: a Pfaffian
+    kernel entry is one cell, which only shifts and scales the other."""
     p1, p2, d1, d2 = a.den_pow, b.den_pow, a.den_diff, b.den_diff
     den_pow = {v: p1.get(v, 0) + p2.get(v, 0) for v in set(p1) | set(p2)}
     den_diff = {k: d1.get(k, 0) + d2.get(k, 0) for k in set(d1) | set(d2)}
-    x, y = a._embedded(variables), b._embedded(variables)
-    if len(x) == 1 and not any(next(iter(x))):
-        (k,) = x.values()
-        num = {cell: c * k for cell, c in y.items()}
-    else:
-        num = _poly_mul(x, y)
-    return num, a.int_den * b.int_den, den_pow, den_diff
+    small, big = sorted((a.int_num, b.int_num), key=len)
+    return _poly_mul(big, small), a.int_den * b.int_den, den_pow, den_diff
 
 
 class _Unreduced(RationalFunction):
-    """An element of the ring `deferred_pfaffian` runs its memo over: a
-    RationalFunction whose numerator is over one variable tuple shared by
-    every element of the ring, and which is never normalized.  A sum lifts
-    both operands to the larger exponents, a product adds them
-    (`_int_sum`, `_int_product`, the bodies of the public operators).
+    """An element of the packed ring that the public operators and
+    `deferred_pfaffian` compute in: a RationalFunction whose numerator is
+    keyed by packed cells (`_pack`) over one variable tuple shared by every
+    element of the ring, and which is never normalized.  A sum lifts both
+    operands to the larger exponents, a product adds them (`_int_sum`,
+    `_int_product`); `_unpacked` gives the normal form.  Elements come from
+    `_packed_ring`, whose guard keeps every exponent below 2^32.
     """
 
     __slots__ = ()
 
     def __add__(self, other):
-        return _Unreduced._raw(self.vars, *_int_sum(self, other, self.vars))
+        return _Unreduced._raw(self.vars, *_int_sum(self, other))
 
     def __mul__(self, other):
-        return _Unreduced._raw(self.vars, *_int_product(self, other, self.vars))
+        return _Unreduced._raw(self.vars, *_int_product(self, other))
 
     def __neg__(self):
         num = {cell: -c for cell, c in self.int_num.items()}
         return _Unreduced._raw(self.vars, num, self.int_den, self.den_pow, self.den_diff)
+
+    def _lifted(self, den: int, den_pow, den_diff) -> Packed:
+        """The packed numerator over a common denominator that this one divides."""
+        slot = self.vars.index
+        shift = sum((a - self.den_pow.get(v, 0)) << _FIELD * slot(v) for v, a in den_pow.items())
+        num = _poly_mul(self.int_num, {shift: den // self.int_den})
+        for (x, y), b in den_diff.items():
+            extra = b - self.den_diff.get((x, y), 0)
+            if extra:
+                num = _poly_mul(num, _diff_poly(slot(x), slot(y), extra))
+        return num
+
+    def _unpacked(self, keep: Sequence[int] | None = None) -> RationalFunction:
+        """The normal form, over the variables at slots `keep` (all by
+        default; the others must not occur in the numerator): the cells are
+        unpacked once and normalized once."""
+        num = _unpack(self.int_num, len(self.vars))
+        variables = self.vars
+        if keep is not None and len(keep) < len(variables):
+            num = {tuple(cell[s] for s in keep): c for cell, c in num.items()}
+            variables = tuple(variables[s] for s in keep)
+        return RationalFunction._from_ints(variables, num, self.int_den, self.den_pow, self.den_diff)
 
 
 def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask: int) -> RationalFunction:
@@ -506,25 +544,27 @@ def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask
     down to `vars` and the rendered form, with one normalization in all.
 
     The memo runs over `_Unreduced`, every entry embedded once over the
-    union of the entries' variables.  The value keeps the variables of its
-    difference factors: those of the plain route when every entry is
-    w / (z_i - z_j)^k with w != 0 and k >= 1, as `wick.correlation` builds
-    them, since products add difference exponents and sums lift to the larger.
+    union of the entries' variables with its numerator cells packed:
+    variable i holds the 32-bit field [32 i, 32 i + 32) of one int, so a
+    monomial product is one int addition and a lift by a difference power a
+    packed convolution.  Before any Pfaffian work, `_packed_ring` adds up,
+    per variable, every entry's top numerator exponent and denominator
+    degree, and refuses the kernel with ValueError when that reaches 2^32,
+    so no field ever carries.  The value is unpacked once (`struct` "<nI")
+    and normalized once by `_normalize`.  It keeps
+    the variables of its difference factors: those of the plain route when
+    every entry is w / (z_i - z_j)^k with w != 0 and k >= 1, as
+    `wick.correlation` builds them, since products add difference exponents
+    and sums lift to the larger.
     """
-    variables = tuple(sorted({v for row in kernel.values() for rf in row.values() for v in rf.vars}, key=_var_key))
-
-    def embed(rf: RationalFunction) -> _Unreduced:
-        return _Unreduced._raw(variables, rf._embedded(variables), rf.int_den, rf.den_pow, rf.den_diff)
-
-    ring = {p: {q: embed(rf) for q, rf in row.items()} for p, row in kernel.items()}
-    value = pfaffian(ring, [mask], embed(RationalFunction.from_scalar(1)))[mask]
+    entries = [rf for row in kernel.values() for rf in row.values()]
+    variables = tuple(sorted({v for rf in entries for v in rf.vars}, key=_var_key))
+    one, *packed = _packed_ring([RationalFunction.from_scalar(1), *entries], variables)
+    elements = iter(packed)
+    ring = {p: {q: next(elements) for q in row} for p, row in kernel.items()}
+    value = pfaffian(ring, [mask], one)[mask]
     used = {v for pair in value.den_diff for v in pair}
-    keep = [i for i, v in enumerate(variables) if v in used]
-    num = value.int_num
-    if len(keep) < len(variables):
-        num = {tuple(cell[i] for i in keep): c for cell, c in num.items()}
-    kept = tuple(variables[i] for i in keep)
-    return RationalFunction._from_ints(kept, num, value.int_den, value.den_pow, value.den_diff)
+    return value._unpacked([s for s, v in enumerate(variables) if v in used])
 
 
 def expand_terms(terms: Sequence[RationalFunction], den: int, order: Iterable[str], box_intervals) -> LaurentPoly:

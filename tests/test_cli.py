@@ -94,6 +94,34 @@ def test_cli_correlate_duplicate_vars_is_usage_error():
         assert "distinct" in proc.stderr
 
 
+def test_cli_zero_insertion_gives_the_zero_correlation(capsys):
+    """A zero multiple of a word is the zero state: `correlate` prints 0
+    and `expand` prints no cell, both with exit code 0."""
+    texts = ["0 * e1(-1/2) |0> @ z1", "f1(-1/2) |0> @ z2"]
+    assert main(["--json", "correlate", *texts]) == 0
+    assert json.loads(capsys.readouterr().out) == {"correlation": "0"}
+    assert main(["expand", *texts, "--order=z1,z2", "--window=-3,1,-3,1"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("0 nonzero coefficients")
+    # a sum of two words is still refused
+    assert main(["correlate", "e1(-1/2) |0> + f1(-1/2) |0> @ z1"]) == 2
+    assert "single word" in capsys.readouterr().err
+
+
+def test_cli_correlate_refuses_exponents_beyond_a_packed_field():
+    """f1 at level -(2^33 - 1)/2 has derivative order 2^32 - 1, so its
+    kernel entry with e1(-1/2) is 1 / (z1 - z2)^(2^32), one past the
+    largest packed exponent: exit 2 with an `error:` line, no traceback.
+    One level up, the power 2^32 - 1 still fits."""
+    proc = run_cli(["correlate", "e1(-1/2) |0> @ z1", "f1(-8589934591/2) |0> @ z2"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "2^32" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = run_cli(["--json", "correlate", "e1(-1/2) |0> @ z1", "f1(-8589934589/2) |0> @ z2"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"correlation": "(1) / (z1 - z2)^4294967295"}
+
+
 def test_cli_expand_matches_base_table():
     proc = run_cli(
         [
