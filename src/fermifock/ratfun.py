@@ -15,7 +15,8 @@ A factor z_i - z_j is divided out by exact long division, attempted only
 when it can succeed: the numerator is first evaluated modulo the prime
 2^61 - 1 at a fixed integer point with z_i = z_j, and a nonzero residue
 proves that z_i - z_j does not divide it.  A zero residue falls through
-to the division, so no step rests on chance.
+to the division, so no step rests on chance.  A correlation's first
+residues are read off its Wick sum instead (`_term_residues`).
 
 Sums and products run in a packed ring, a private subclass
 (`_Unreduced`) whose numerator cells are packed into one int each:
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, inf, lcm, prod
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -150,6 +152,29 @@ def _residues(a: Poly, pairs: Sequence[Tuple[int, int]]) -> List[int]:
     return out
 
 
+def _term_residues(terms, differences, variables, den_diff) -> Dict[Tuple[str, str], int]:
+    """First residues (see `_normalize`) of a function over
+    prod (x - y)^B, B = `den_diff`, given as a sum of terms
+    c / prod (a - b)^b with every b at most B: `terms` maps exponent tuples
+    over `differences` (either order per pair) to c.  For each (x, y) of B,
+    the value mod 2^61 - 1, at the point of `_proof_value` over `variables`
+    with z_y set to z_x, of sum c prod (a - b)^(B - b), which is a nonzero
+    constant times the numerator: a difference taken in the other order
+    only flips that constant's sign.  At that point only the terms with
+    b(x, y) = B(x, y) survive.
+    """
+    keys = [(a, b) if _var_key(a) < _var_key(b) else (b, a) for a, b in differences]
+    gapped = [(c, [den_diff.get(key, 0) - e for key, e in zip(keys, exps)]) for exps, c in terms.items()]
+    point = {v: _proof_value(k) for k, v in enumerate(variables)}
+    out = {}
+    for x, y in den_diff:
+        at = {**point, y: point[x]}
+        diffs = [at[a] - at[b] for a, b in differences]
+        s = keys.index((x, y))
+        out[x, y] = sum(c * prod(map(pow, diffs, gaps, repeat(_PRIME))) for c, gaps in gapped if not gaps[s]) % _PRIME
+    return out
+
+
 def _divide_by_diff(a: Poly, i: int, j: int) -> Poly | None:
     """Exact quotient a / (z_i - z_j), or None when not divisible.
 
@@ -218,9 +243,9 @@ class RationalFunction:
         return rf
 
     @classmethod
-    def _from_ints(cls, variables, int_num: Poly, int_den: int, den_pow, den_diff) -> "RationalFunction":
+    def _from_ints(cls, variables, int_num: Poly, int_den: int, den_pow, den_diff, first=None) -> "RationalFunction":
         rf = cls._raw(variables, int_num, int_den, den_pow, den_diff)
-        rf._normalize()
+        rf._normalize(first)
         return rf
 
     @classmethod
@@ -274,7 +299,12 @@ class RationalFunction:
 
     # -- normalization --------------------------------------------------
 
-    def _normalize(self):
+    def _normalize(self, first: Mapping[Tuple[str, str], int] | None = None):
+        """Cancel common factors.  `first` may map each pair (x, y) of
+        `den_diff` to the value mod 2^61 - 1, at an integer point with
+        z_y = z_x, of a nonzero constant times the numerator as it enters
+        (`_term_residues`), in place of `_residues`; quotients still get
+        `_residues`."""
         num = self.int_num
         if not num:
             self.int_den = 1
@@ -294,8 +324,9 @@ class RationalFunction:
                 den_pow[v] = a
         pairs = [(x, y, b) for (x, y), b in self.den_diff.items() if b > 0]
         slots = [(self.vars.index(x), self.vars.index(y)) for x, y, _ in pairs]
+        residues = [first[x, y] for x, y, _ in pairs] if first else _residues(num, slots) if slots else ()
         den_diff = {}
-        for (x, y, b), (i, j), r in zip(pairs, slots, _residues(num, slots) if slots else ()):
+        for (x, y, b), (i, j), r in zip(pairs, slots, residues):
             # A nonzero residue proves z_i - z_j does not divide the
             # numerator, nor any quotient of it; only a zero residue
             # leads to a long division.
@@ -527,19 +558,19 @@ class _Unreduced(RationalFunction):
                 num = _poly_mul(num, _diff_poly(slot(x), slot(y), extra))
         return num
 
-    def _unpacked(self, keep: Sequence[int] | None = None) -> RationalFunction:
+    def _unpacked(self, keep: Sequence[int] | None = None, first=None) -> RationalFunction:
         """The normal form, over the variables at slots `keep` (all by
         default; the others must not occur in the numerator): the cells are
-        unpacked once and normalized once."""
+        unpacked once and normalized once (`first`: see `_normalize`)."""
         num = _unpack(self.int_num, len(self.vars))
         variables = self.vars
         if keep is not None and len(keep) < len(variables):
             num = {tuple(cell[s] for s in keep): c for cell, c in num.items()}
             variables = tuple(variables[s] for s in keep)
-        return RationalFunction._from_ints(variables, num, self.int_den, self.den_pow, self.den_diff)
+        return RationalFunction._from_ints(variables, num, self.int_den, self.den_pow, self.den_diff, first)
 
 
-def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask: int) -> RationalFunction:
+def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask: int, terms=None) -> RationalFunction:
     """pfaffian(kernel, [mask], RationalFunction.from_scalar(1))[mask], equal
     down to `vars` and the rendered form, with one normalization in all.
 
@@ -551,11 +582,12 @@ def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask
     per variable, every entry's top numerator exponent and denominator
     degree, and refuses the kernel with ValueError when that reaches 2^32,
     so no field ever carries.  The value is unpacked once (`struct` "<nI")
-    and normalized once by `_normalize`.  It keeps
-    the variables of its difference factors: those of the plain route when
-    every entry is w / (z_i - z_j)^k with w != 0 and k >= 1, as
-    `wick.correlation` builds them, since products add difference exponents
-    and sums lift to the larger.
+    and normalized once by `_normalize`.  When `terms`, the same Pfaffian
+    as a sum of difference-power terms (`_term_residues`), is given, the
+    first residues come from it.  It keeps the variables of its difference
+    factors: those of the plain route when every entry is w / (z_i - z_j)^k
+    with w != 0 and k >= 1, as `wick.correlation` builds them, since
+    products add difference exponents and sums lift to the larger.
     """
     entries = [rf for row in kernel.values() for rf in row.values()]
     variables = tuple(sorted({v for rf in entries for v in rf.vars}, key=_var_key))
@@ -564,7 +596,9 @@ def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask
     ring = {p: {q: next(elements) for q in row} for p, row in kernel.items()}
     value = pfaffian(ring, [mask], one)[mask]
     used = {v for pair in value.den_diff for v in pair}
-    return value._unpacked([s for s, v in enumerate(variables) if v in used])
+    keep = [s for s, v in enumerate(variables) if v in used]
+    first = terms and _term_residues(*terms, tuple(variables[s] for s in keep), value.den_diff)
+    return value._unpacked(keep, first)
 
 
 def expand_terms(terms: Sequence[RationalFunction], den: int, order: Iterable[str], box_intervals) -> LaurentPoly:

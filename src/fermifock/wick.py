@@ -231,7 +231,9 @@ def correlation(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> Ration
     and factor q of a later insertion j; factors of one insertion never
     contract.  The Pfaffian runs over the unnormalized ring of
     `ratfun.deferred_pfaffian` and is normalized once, so the result is the
-    normal form of the plain `pfaffian` over RationalFunction.  The
+    normal form of the plain `pfaffian` over RationalFunction.  The Wick
+    sum of the same pairs (`_wick_memo`) gives its first divisibility
+    residues (`ratfun._term_residues`).  The
     `noexpr_mul` fold computes the same value term by term.
     """
     count, pairs = _kernel_pairs(space, insertions)
@@ -239,7 +241,8 @@ def correlation(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> Ration
     kernel: Dict[int, Dict[int, RationalFunction]] = {}
     for p, q, i, j, weight, power in pairs:
         kernel.setdefault(p, {})[q] = RationalFunction.diff_inverse(names[i], names[j], power, weight)
-    return deferred_pfaffian(kernel, (1 << count) - 1)
+    terms, differences, _ = _wick_memo(count, pairs, names)
+    return deferred_pfaffian(kernel, (1 << count) - 1, (terms, differences))
 
 
 def _kernel_pairs(space: HSpace, insertions: Sequence[Tuple[Word, str]]):
@@ -322,6 +325,15 @@ def correlation_terms(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> 
     """
     count, pairs = _kernel_pairs(space, insertions)
     names = [v for _, v in insertions]
+    value, differences, L = _wick_memo(count, pairs, names)
+    terms = {tuple((pair, b) for pair, b in zip(differences, key) if b): c for key, c in value.items()}
+    return WickSum(terms, L ** (count // 2))
+
+
+def _wick_memo(count: int, pairs, names):
+    """The Wick sum of the kernel `pairs` of `_kernel_pairs`: ({exponents:
+    c}, differences (z_i, z_j) with i < j, L), exponent k at position s the
+    power of 1 / (z_i - z_j) for the s-th difference, each c over L^(count/2)."""
     ints, L = clear_denominators({(p, q): weight for p, q, _, _, weight, _ in pairs})
     slots: Dict[Tuple[int, int], int] = {}  # insertion pair -> exponent position
     for _, _, i, j, _, _ in pairs:
@@ -333,11 +345,7 @@ def correlation_terms(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> 
         kernel.setdefault(p, {})[q] = _InversePowers({tuple(shift): ints[p, q]})
     full = (1 << count) - 1
     value = pfaffian(kernel, [full], _InversePowers({(0,) * len(slots): 1}))[full]
-    differences = [(names[i], names[j]) for i, j in slots]
-    terms = {
-        tuple((pair, b) for pair, b in zip(differences, key) if b): c for key, c in value.terms.items()
-    }
-    return WickSum(terms, L ** (count // 2))
+    return value.terms, [(names[i], names[j]) for i, j in slots], L
 
 
 # -- windowed evaluation of closed forms ------------------------------------

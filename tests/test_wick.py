@@ -4,6 +4,7 @@ from math import comb, prod
 
 import pytest
 
+from fermifock import ratfun
 from fermifock.fock import FockVector, HSpace, random_state, random_word
 from fermifock.laurent import Box
 from fermifock.pfaffian import pfaffian
@@ -343,13 +344,73 @@ def test_correlation_matches_the_plain_pfaffian_route():
     assert nonzero >= 24
 
 
+# inputs whose normal form needs long divisions, from one up to sixteen:
+# in the first four the Pfaffian memo over-lifts a difference power that no
+# Wick term reaches; in the last four, Wick terms of distinct difference
+# powers reach it and cancel where the two variables meet, so only these
+# depend on the orientation of each difference
+DIVIDING = [
+    (HSpace(2, FULL_GRAM_2), [((1, -1), (3, -2)), ((2, -1),), ((2, -3),), ((0, -2), (2, -3))]),
+    (HSpace(2, FULL_GRAM_2), [((3, -3), (0, -2)), ((1, -3),), ((0, -2),), ((1, -3), (0, -3))]),
+    (HSpace(2, FULL_GRAM_2), [((1, -2), (2, -2)), ((2, -2),), ((1, -3),), ((0, -2), (2, -1))]),
+    (HSpace(2, FULL_GRAM_2), [((0, -3), (0, -1)), ((0, -2),), ((3, -3),), ((3, -3), (2, -3))]),
+    (HSpace(2, FULL_GRAM_2), [((2, -2), (3, -3)), ((1, -2), (1, -1)), ((1, -1), (3, -3))]),
+    (HSpace(1), [((1, -3), (0, -1)), ((1, -3),), ((0, -1), (0, -3)), ((1, -2),)]),
+    (HSpace(1), [((0, -1), (1, -2)), ((1, -3), (1, -2)), ((0, -3), (0, -1))]),
+    (HSpace(1, [[1, 1], [1, 2]]), [((1, -1), (1, -3)), ((0, -3), (1, -2)), ((1, -1), (0, -2))]),
+]
+
+
+def test_correlation_certificate_under_renamed_variables(monkeypatch):
+    """`correlation` takes the first divisibility residue of every
+    difference factor from the Wick sum, whose differences run in insertion
+    order, not in the canonical order of the normal form.  With the
+    variables renamed out of canonical order, all reversed (z10 ... z1) or
+    mixed (b, a, ...: some differences reversed, some not), it still equals
+    the plain Pfaffian route in every field, through the inputs whose
+    normal form needs long divisions and the one whose sum cancels."""
+    divisions = []
+    divide = ratfun._divide_by_diff
+    monkeypatch.setattr(ratfun, "_divide_by_diff", lambda *args: divisions.append(divide(*args)) or divisions[-1])
+    cases = _correlation_cases() + [(space, [(w, "") for w in words]) for space, words in DIVIDING]
+    pools = [[f"z{10 - k}" for k in range(10)], ["b", "a", "z2", "z10", "z1", "c", "z11", "w"]]
+    divided = 0
+    for space, ins in cases:
+        for pool in pools:
+            renamed = [(w, v) for (w, _), v in zip(ins, pool)]
+            divisions.clear()
+            got = correlation(space, renamed)
+            divided += sum(q is not None for q in divisions)
+            want = _plain_correlation(space, renamed)
+            assert (got.vars, got.int_num, got.int_den) == (want.vars, want.int_num, want.int_den), renamed
+            assert (got.den_pow, got.den_diff, got.render()) == (want.den_pow, want.den_diff, want.render()), renamed
+    assert divided >= 50
+
+
+def test_correlation_residues_follow_divisions_only(monkeypatch):
+    """A correlation's expanded numerator is never evaluated whole: on the
+    README's dense 6-insertion input `_normalize` calls `_residues` not at
+    all, and where long divisions run, each call reads the quotient that
+    `_divide_by_diff` has just returned."""
+    quotients, read = [], []
+    divide, residues = ratfun._divide_by_diff, ratfun._residues
+    monkeypatch.setattr(ratfun, "_divide_by_diff", lambda *args: quotients.append(divide(*args)) or quotients[-1])
+    monkeypatch.setattr(ratfun, "_residues", lambda a, pairs: read.append(a) or residues(a, pairs))
+    dense = [(((i % 4, -1 - i % 2),), f"z{i + 1}") for i in range(6)]
+    assert len(correlation(HSpace(2, FULL_GRAM_2), dense).int_num) == 30567
+    assert read == []
+    for space, words in DIVIDING:
+        correlation(space, [(w, f"z{i + 1}") for i, w in enumerate(words)])
+    assert read and all(any(a is q for q in quotients) for a in read)
+
+
 def test_correlation_normalizes_once(monkeypatch):
     """A nonzero correlation on the dense M = 2 Gram normalizes exactly
     once: the Pfaffian's ring never does, only the value it returns."""
     ins = [(((g, -1 - i % 2),), f"z{i + 1}") for i, g in enumerate((E1, E2, F1, F2))]
     calls = []
     normalize = RationalFunction._normalize
-    monkeypatch.setattr(RationalFunction, "_normalize", lambda rf: calls.append(rf) or normalize(rf))
+    monkeypatch.setattr(RationalFunction, "_normalize", lambda rf, first=None: calls.append(rf) or normalize(rf, first))
     assert not correlation(HSpace(2, FULL_GRAM_2), ins).is_zero()
     assert len(calls) == 1
 
