@@ -11,12 +11,13 @@ cleared once, in the constructor, so arithmetic adds and multiplies ints.
 Fractions are kept normalized: no z_i or (z_i - z_j) divides both
 numerator and denominator, and difference factors are stored with the
 canonically earlier variable first (sign absorbed into the numerator).
-A factor z_i - z_j is divided out by exact long division, attempted only
-when it can succeed: the numerator is first evaluated modulo the prime
-2^61 - 1 at a fixed integer point with z_i = z_j, and a nonzero residue
-proves that z_i - z_j does not divide it.  A zero residue falls through
-to the division, so no step rests on chance.  A correlation's first
-residues are read off its Wick sum instead (`_term_residues`).
+A factor z_i - z_j is divided out by exact long division, and its pole
+order has one rule.  A correlation comes with its Wick sum
+(`_term_residues`), whose top power B of z_i - z_j bounds the order: the
+numerator is divided down to B exactly, and the sum's value modulo the
+prime 2^61 - 1 at a fixed integer point with z_i = z_j proves, when
+nonzero, that the order is B.  Everything else, a zero value included,
+runs trial division: divide until a division fails.
 
 Sums and products run in a packed ring, a private subclass
 (`_Unreduced`) whose numerator cells are packed into one int each:
@@ -119,59 +120,29 @@ def _proof_value(idx: int) -> int:
     return (idx + 1) * 0x9E3779B97F4A7C15 % _PRIME
 
 
-def _residues(a: Poly, pairs: Sequence[Tuple[int, int]]) -> List[int]:
-    """For each pair (i, j), a mod 2^61 - 1 at the fixed point with z_j
-    set to the value of z_i.
-
-    If z_i - z_j divides a, a vanishes wherever z_i = z_j, so a nonzero
-    residue proves that it does not.  Every pair shares one pass over a:
-    moving z_j from its own value r_j to r_i multiplies a term by
-    (r_i / r_j)^(e_j), so the terms are summed by their z_j exponent.
-    """
-    values = [_proof_value(k) for k in range(len(next(iter(a))))]
-    tops = list(map(max, zip(*a)))
-    powers = []
-    for v, top in zip(values, tops):
-        row = [1]
-        for _ in range(top):
-            row.append(row[-1] * v % _PRIME)
-        powers.append(row)
-    by_exp = {j: [0] * (tops[j] + 1) for _, j in pairs}
-    rows = list(by_exp.items())
-    for cell, c in a.items():
-        term = c * prod(map(list.__getitem__, powers, cell))
-        for j, sums in rows:
-            sums[cell[j]] += term
-    out = []
-    for i, j in pairs:
-        ratio = values[i] * pow(values[j], -1, _PRIME) % _PRIME
-        r = 0
-        for s in reversed(by_exp[j]):
-            r = (r * ratio + s) % _PRIME
-        out.append(r)
-    return out
-
-
-def _term_residues(terms, differences, variables, den_diff) -> Dict[Tuple[str, str], int]:
-    """First residues (see `_normalize`) of a function over
-    prod (x - y)^B, B = `den_diff`, given as a sum of terms
-    c / prod (a - b)^b with every b at most B: `terms` maps exponent tuples
-    over `differences` (either order per pair) to c.  For each (x, y) of B,
-    the value mod 2^61 - 1, at the point of `_proof_value` over `variables`
-    with z_y set to z_x, of sum c prod (a - b)^(B - b), which is a nonzero
-    constant times the numerator: a difference taken in the other order
-    only flips that constant's sign.  At that point only the terms with
-    b(x, y) = B(x, y) survive.
+def _term_residues(terms, differences) -> Dict[Tuple[str, str], Tuple[int, int]]:
+    """Pole orders and first residues (see `_normalize`) of a sum of terms
+    c / prod (a - b)^b: `terms` maps exponent tuples over `differences`
+    (either order per pair) to c.  For each canonical pair (x, y), (B, r):
+    B is its top exponent over the terms, and r is the value mod 2^61 - 1,
+    at the point of `_proof_value` over the sorted variables with z_y set
+    to z_x, of sum c prod (a - b)^(B_ab - b) over every pair's top B_ab.
+    That sum is a nonzero constant times the numerator over
+    prod (a - b)^B_ab, since a difference taken in the other order only
+    flips the constant's sign; at that point only the terms with
+    b(x, y) = B survive.
     """
     keys = [(a, b) if _var_key(a) < _var_key(b) else (b, a) for a, b in differences]
-    gapped = [(c, [den_diff.get(key, 0) - e for key, e in zip(keys, exps)]) for exps, c in terms.items()]
-    point = {v: _proof_value(k) for k, v in enumerate(variables)}
+    tops = [max(col) for col in zip(*terms)]
+    gapped = [(c, [top - e for top, e in zip(tops, exps)]) for exps, c in terms.items()]
+    names = sorted({v for pair in differences for v in pair}, key=_var_key)
+    point = {v: _proof_value(k) for k, v in enumerate(names)}
     out = {}
-    for x, y in den_diff:
+    for s, ((x, y), top) in enumerate(zip(keys, tops)):
         at = {**point, y: point[x]}
         diffs = [at[a] - at[b] for a, b in differences]
-        s = keys.index((x, y))
-        out[x, y] = sum(c * prod(map(pow, diffs, gaps, repeat(_PRIME))) for c, gaps in gapped if not gaps[s]) % _PRIME
+        r = sum(c * prod(map(pow, diffs, gaps, repeat(_PRIME))) for c, gaps in gapped if not gaps[s]) % _PRIME
+        out[x, y] = top, r
     return out
 
 
@@ -243,9 +214,9 @@ class RationalFunction:
         return rf
 
     @classmethod
-    def _from_ints(cls, variables, int_num: Poly, int_den: int, den_pow, den_diff, first=None) -> "RationalFunction":
+    def _from_ints(cls, variables, int_num: Poly, int_den: int, den_pow, den_diff, poles=None) -> "RationalFunction":
         rf = cls._raw(variables, int_num, int_den, den_pow, den_diff)
-        rf._normalize(first)
+        rf._normalize(poles)
         return rf
 
     @classmethod
@@ -299,12 +270,13 @@ class RationalFunction:
 
     # -- normalization --------------------------------------------------
 
-    def _normalize(self, first: Mapping[Tuple[str, str], int] | None = None):
-        """Cancel common factors.  `first` may map each pair (x, y) of
-        `den_diff` to the value mod 2^61 - 1, at an integer point with
-        z_y = z_x, of a nonzero constant times the numerator as it enters
-        (`_term_residues`), in place of `_residues`; quotients still get
-        `_residues`."""
+    def _normalize(self, poles: Mapping[Tuple[str, str], Tuple[int, int]] | None = None):
+        """Cancel common factors.  `poles` may map each pair (x, y) of
+        `den_diff` to (B, r) from the function's Wick sum
+        (`_term_residues`): B bounds the order of x - y, so the numerator is
+        divided exactly down to it, and a nonzero r proves that the order is
+        B.  A pair with r = 0, or with no Wick sum, runs trial division:
+        divide until a division fails."""
         num = self.int_num
         if not num:
             self.int_den = 1
@@ -322,23 +294,21 @@ class RationalFunction:
                     a -= k
             if a:
                 den_pow[v] = a
-        pairs = [(x, y, b) for (x, y), b in self.den_diff.items() if b > 0]
-        slots = [(self.vars.index(x), self.vars.index(y)) for x, y, _ in pairs]
-        residues = [first[x, y] for x, y, _ in pairs] if first else _residues(num, slots) if slots else ()
         den_diff = {}
-        for (x, y, b), (i, j), r in zip(pairs, slots, residues):
-            # A nonzero residue proves z_i - z_j does not divide the
-            # numerator, nor any quotient of it; only a zero residue
-            # leads to a long division.
-            while not r:
+        for (x, y), b in self.den_diff.items():
+            if b <= 0:
+                continue
+            i, j = self.vars.index(x), self.vars.index(y)
+            top, r = poles[x, y] if poles else (b, 0)
+            while b > top:  # exact: every Wick term has order at most B
+                num = _divide_by_diff(num, i, j)
+                b -= 1
+            while b and not r:
                 q = _divide_by_diff(num, i, j)
                 if q is None:
                     break
                 num = q
                 b -= 1
-                if not b:
-                    break
-                r = _residues(num, [(i, j)])[0]
             if b:
                 den_diff[(x, y)] = b
         self.int_num = num
@@ -558,16 +528,16 @@ class _Unreduced(RationalFunction):
                 num = _poly_mul(num, _diff_poly(slot(x), slot(y), extra))
         return num
 
-    def _unpacked(self, keep: Sequence[int] | None = None, first=None) -> RationalFunction:
+    def _unpacked(self, keep: Sequence[int] | None = None, poles=None) -> RationalFunction:
         """The normal form, over the variables at slots `keep` (all by
         default; the others must not occur in the numerator): the cells are
-        unpacked once and normalized once (`first`: see `_normalize`)."""
+        unpacked once and normalized once (`poles`: see `_normalize`)."""
         num = _unpack(self.int_num, len(self.vars))
         variables = self.vars
         if keep is not None and len(keep) < len(variables):
             num = {tuple(cell[s] for s in keep): c for cell, c in num.items()}
             variables = tuple(variables[s] for s in keep)
-        return RationalFunction._from_ints(variables, num, self.int_den, self.den_pow, self.den_diff, first)
+        return RationalFunction._from_ints(variables, num, self.int_den, self.den_pow, self.den_diff, poles)
 
 
 def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask: int, terms=None) -> RationalFunction:
@@ -584,10 +554,11 @@ def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask
     so no field ever carries.  The value is unpacked once (`struct` "<nI")
     and normalized once by `_normalize`.  When `terms`, the same Pfaffian
     as a sum of difference-power terms (`_term_residues`), is given, the
-    first residues come from it.  It keeps the variables of its difference
-    factors: those of the plain route when every entry is w / (z_i - z_j)^k
-    with w != 0 and k >= 1, as `wick.correlation` builds them, since
-    products add difference exponents and sums lift to the larger.
+    pole orders come from it; without it every pair runs trial division.
+    It keeps the variables of its difference factors: those of the plain
+    route when every entry is w / (z_i - z_j)^k with w != 0 and k >= 1, as
+    `wick.correlation` builds them, since products add difference
+    exponents and sums lift to the larger.
     """
     entries = [rf for row in kernel.values() for rf in row.values()]
     variables = tuple(sorted({v for rf in entries for v in rf.vars}, key=_var_key))
@@ -597,8 +568,7 @@ def deferred_pfaffian(kernel: Mapping[int, Mapping[int, RationalFunction]], mask
     value = pfaffian(ring, [mask], one)[mask]
     used = {v for pair in value.den_diff for v in pair}
     keep = [s for s, v in enumerate(variables) if v in used]
-    first = terms and _term_residues(*terms, tuple(variables[s] for s in keep), value.den_diff)
-    return value._unpacked(keep, first)
+    return value._unpacked(keep, terms and _term_residues(*terms))
 
 
 def expand_terms(terms: Sequence[RationalFunction], den: int, order: Iterable[str], box_intervals) -> LaurentPoly:

@@ -27,40 +27,20 @@ Entry = Union[str, Tuple[int, int]]  # K or (gen, level)
 TensorWord = Tuple[Entry, ...]
 
 
-def _is_mode(entry: Entry) -> bool:
-    return entry != K
-
-
-def _word_key(word: TensorWord):
-    return tuple((1,) if e == K else (0, e[0], e[1]) for e in word)
+def _wrong_order(a: Entry, b: Entry) -> bool:
+    """k before a mode, or a nonnegative level before a negative one."""
+    return b != K and (a == K or a[1] >= 0 > b[1])
 
 
 def defect(word: TensorWord) -> int:
     """Number of wrong-order pairs: positive level before negative level,
     or k before any mode."""
-    count = 0
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            a, b = word[i], word[j]
-            if a == K:
-                if _is_mode(b):
-                    count += 1
-            elif _is_mode(b) and a[1] >= 0 > b[1]:
-                count += 1
-    return count
+    return sum(_wrong_order(a, b) for i, a in enumerate(word) for b in word[i + 1 :])
 
 
 def redexes(word: TensorWord) -> List[int]:
     """Positions i where (word[i], word[i+1]) is an adjacent wrong-order pair."""
-    out = []
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a == K:
-            if _is_mode(b):
-                out.append(i)
-        elif _is_mode(b) and a[1] >= 0 > b[1]:
-            out.append(i)
-    return out
+    return [i for i in range(len(word) - 1) if _wrong_order(word[i], word[i + 1])]
 
 
 def rewrite_at(space: HSpace, word: TensorWord, i: int) -> List[Tuple[Fraction, TensorWord]]:
@@ -91,7 +71,8 @@ def pbw_normal_form(
         if rng is None:
             w, c = pending.popitem()
         else:
-            w = rng.choice(sorted(pending, key=_word_key))
+            # insertion order: deterministic, so a seeded rng repeats its picks
+            w = rng.choice(list(pending))
             c = pending.pop(w)
         spots = redexes(w)
         if not spots:

@@ -232,8 +232,9 @@ def correlation(space: HSpace, insertions: Sequence[Tuple[Word, str]]) -> Ration
     contract.  The Pfaffian runs over the unnormalized ring of
     `ratfun.deferred_pfaffian` and is normalized once, so the result is the
     normal form of the plain `pfaffian` over RationalFunction.  The Wick
-    sum of the same pairs (`_wick_memo`) gives its first divisibility
-    residues (`ratfun._term_residues`).  The
+    sum of the same pairs (`_wick_memo`) gives every pole order: its top
+    power of each difference and, when its residue there is nonzero, the
+    proof that no lower one will do (`ratfun._term_residues`).  The
     `noexpr_mul` fold computes the same value term by term.
     """
     count, pairs = _kernel_pairs(space, insertions)

@@ -8,7 +8,7 @@ from fermifock import ratfun
 from fermifock.fock import FockVector, HSpace, random_state, random_word
 from fermifock.laurent import Box
 from fermifock.pfaffian import pfaffian
-from fermifock.ratfun import RationalFunction, f_mn
+from fermifock.ratfun import RationalFunction, deferred_pfaffian, f_mn
 from fermifock.vertex import iterate_series, ordered_factor_series, product_series, y_series
 from fermifock.wick import (
     Factor,
@@ -273,6 +273,13 @@ def test_correlation_pfaffian_matches_both_folds():
 def _plain_correlation(space, insertions):
     """The factor-level Pfaffian run over RationalFunction itself, which
     normalizes after every ring operation."""
+    kernel, full = _plain_kernel(space, insertions)
+    return pfaffian(kernel, [full], RationalFunction.from_scalar(1))[full]
+
+
+def _plain_kernel(space, insertions):
+    """(kernel, full mask) of the factor-level Pfaffian of a correlation,
+    its entries f_mn normal forms scaled by their pairings."""
     factors = [(i, f) for i, (w, v) in enumerate(insertions) for f in word_factors(w, v)]
     kernel = {}
     for p, (i, fp) in enumerate(factors):
@@ -281,8 +288,7 @@ def _plain_correlation(space, insertions):
             pairing = space.pair(fp.gen, fq.gen) if j != i else 0
             if pairing:
                 kernel.setdefault(p, {})[q] = f_mn(fp.deriv, fq.deriv, fp.var, fq.var).scale(pairing)
-    full = (1 << len(factors)) - 1
-    return pfaffian(kernel, [full], RationalFunction.from_scalar(1))[full]
+    return kernel, (1 << len(factors)) - 1
 
 
 def _correlation_cases():
@@ -362,13 +368,14 @@ DIVIDING = [
 
 
 def test_correlation_certificate_under_renamed_variables(monkeypatch):
-    """`correlation` takes the first divisibility residue of every
-    difference factor from the Wick sum, whose differences run in insertion
-    order, not in the canonical order of the normal form.  With the
-    variables renamed out of canonical order, all reversed (z10 ... z1) or
-    mixed (b, a, ...: some differences reversed, some not), it still equals
-    the plain Pfaffian route in every field, through the inputs whose
-    normal form needs long divisions and the one whose sum cancels."""
+    """`correlation` takes the pole order of every difference factor from
+    the Wick sum, whose differences run in insertion order, not in the
+    canonical order of the normal form.  With the variables renamed out of
+    canonical order, all reversed (z10 ... z1) or mixed (b, a, ...: some
+    differences reversed, some not), it still equals the plain Pfaffian
+    route in every field, through the inputs whose normal form needs long
+    divisions and the one whose sum cancels; so does `deferred_pfaffian`
+    given no Wick sum, which runs trial division only."""
     divisions = []
     divide = ratfun._divide_by_diff
     monkeypatch.setattr(ratfun, "_divide_by_diff", lambda *args: divisions.append(divide(*args)) or divisions[-1])
@@ -382,26 +389,44 @@ def test_correlation_certificate_under_renamed_variables(monkeypatch):
             got = correlation(space, renamed)
             divided += sum(q is not None for q in divisions)
             want = _plain_correlation(space, renamed)
-            assert (got.vars, got.int_num, got.int_den) == (want.vars, want.int_num, want.int_den), renamed
-            assert (got.den_pow, got.den_diff, got.render()) == (want.den_pow, want.den_diff, want.render()), renamed
+            trial = deferred_pfaffian(*_plain_kernel(space, renamed))
+            for rf in (got, trial):
+                assert (rf.vars, rf.int_num, rf.int_den) == (want.vars, want.int_num, want.int_den), renamed
+                assert (rf.den_pow, rf.den_diff, rf.render()) == (want.den_pow, want.den_diff, want.render()), renamed
     assert divided >= 50
 
 
-def test_correlation_residues_follow_divisions_only(monkeypatch):
-    """A correlation's expanded numerator is never evaluated whole: on the
-    README's dense 6-insertion input `_normalize` calls `_residues` not at
-    all, and where long divisions run, each call reads the quotient that
-    `_divide_by_diff` has just returned."""
-    quotients, read = [], []
-    divide, residues = ratfun._divide_by_diff, ratfun._residues
-    monkeypatch.setattr(ratfun, "_divide_by_diff", lambda *args: quotients.append(divide(*args)) or quotients[-1])
-    monkeypatch.setattr(ratfun, "_residues", lambda a, pairs: read.append(a) or residues(a, pairs))
+def test_correlation_pole_orders_come_from_the_wick_sum(monkeypatch):
+    """A correlation's pole orders come from its Wick sum: the README's
+    dense 6-insertion input runs no long division at all, the `DIVIDING`
+    inputs make exactly 28 successful ones, and none fails while the
+    memo's power b of a difference exceeds the Wick sum's top power B."""
+    runs = []  # per normalization: (vars, den_diff as it enters, poles, [(pair, divided)])
+    divide, normalize = ratfun._divide_by_diff, RationalFunction._normalize
+
+    def logged_divide(a, i, j):
+        q = divide(a, i, j)
+        variables, _, _, log = runs[-1]
+        log.append(((variables[i], variables[j]), q is not None))
+        return q
+
+    def logged_normalize(rf, poles=None):
+        runs.append((rf.vars, dict(rf.den_diff), poles, []))
+        normalize(rf, poles)
+
+    monkeypatch.setattr(ratfun, "_divide_by_diff", logged_divide)
+    monkeypatch.setattr(RationalFunction, "_normalize", logged_normalize)
     dense = [(((i % 4, -1 - i % 2),), f"z{i + 1}") for i in range(6)]
     assert len(correlation(HSpace(2, FULL_GRAM_2), dense).int_num) == 30567
-    assert read == []
+    assert [log for *_, log in runs] == [[]]
+    runs.clear()
     for space, words in DIVIDING:
         correlation(space, [(w, f"z{i + 1}") for i, w in enumerate(words)])
-    assert read and all(any(a is q for q in quotients) for a in read)
+    assert sum(ok for *_, log in runs for _, ok in log) == 28
+    for _, den_diff, poles, log in runs:
+        for pair, b in den_diff.items():
+            exact = [ok for p, ok in log if p == pair][: b - poles[pair][0]]
+            assert len(exact) == b - poles[pair][0] and all(exact), pair
 
 
 def test_correlation_normalizes_once(monkeypatch):
@@ -410,7 +435,7 @@ def test_correlation_normalizes_once(monkeypatch):
     ins = [(((g, -1 - i % 2),), f"z{i + 1}") for i, g in enumerate((E1, E2, F1, F2))]
     calls = []
     normalize = RationalFunction._normalize
-    monkeypatch.setattr(RationalFunction, "_normalize", lambda rf, first=None: calls.append(rf) or normalize(rf, first))
+    monkeypatch.setattr(RationalFunction, "_normalize", lambda rf, poles=None: calls.append(rf) or normalize(rf, poles))
     assert not correlation(HSpace(2, FULL_GRAM_2), ins).is_zero()
     assert len(calls) == 1
 
