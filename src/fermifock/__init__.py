@@ -32,7 +32,6 @@ from .vertex import (
     WindowedSeries,
     check_axioms,
     check_weak_associativity,
-    enumerate_shuffles,
     iterate_series,
     normal_order_modes,
     product_series,

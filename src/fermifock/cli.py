@@ -24,7 +24,7 @@ from .delta import (
     exp_delta,
     exp_delta_iterated,
 )
-from .fock import FockVector, HSpace, Word, random_state, random_word
+from .fock import CODE_LEVELS, FockVector, HSpace, Word, encode, random_state, random_word
 from .laurent import Box, LaurentPoly
 from .scalars import format_rational, parse_rational
 from .straightening import K, check_confluence, defect
@@ -306,6 +306,13 @@ def _suite_pbw(rep, space, rng, trials=60):
     rep.emit("pbw", check_confluence(space, cases))
 
 
+# a check creates modes h(-n-1/2) with n up to about twice the window's
+# upper edge plus the word weights (the wick suite at --max-weight 4 reached
+# n = 2 top + 8 for top = 6 and 12), and the str code of a word
+# (fock.letter) holds n < 17,407: the limit leaves a factor of 4
+_WINDOW_TOP = 4000
+
+
 def cmd_check(args) -> int:
     space, coeffs = load_config(args.config)
     if not space.dim:
@@ -327,6 +334,12 @@ def cmd_check(args) -> int:
         window2 = (interval, interval)
     else:
         window2 = _parse_window(args.window, 2)
+    top = max(hi for _, hi in window2)
+    if top > _WINDOW_TOP:
+        raise UsageError(
+            f"window upper edge {top} is above the limit {_WINDOW_TOP}: the checks create modes up to "
+            f"about twice the upper edge, and a word's code holds levels n < {CODE_LEVELS}"
+        )
     suites = [args.suite] if args.suite != "all" else ["axioms", "wick", "delta", "pbw"]
     for suite in suites:
         if suite == "axioms":
@@ -378,6 +391,11 @@ def cmd_expdelta(args) -> int:
     vec = parse_state(space, args.state)
     if max(map(len, vec.terms), default=0) > 20:  # 2^(r-1) deleted sets, as many Pfaffian minors
         raise UsageError("expdelta: a word is longer than the limit of 20 letters")
+    try:
+        for word in vec.terms:
+            encode(word)
+    except ValueError as e:
+        raise UsageError(f"expdelta: {e}")
     closed = exp_delta(space, coeffs, vec)
     agree = closed == exp_delta_iterated(space, coeffs, vec)
     for e in sorted(closed, reverse=True):

@@ -6,9 +6,10 @@ over the polarized basis; antisymmetry C_mn = -C_nm makes it basis
 independent.  Acting on a word it deletes one pair of modes per step, so
 its exponential is a finite sum whose coefficients are Pfaffians of the
 bracket matrix (two slower routes are kept as oracles).  States and
-brackets are cleared to ints over common denominators: the closed form
-adds Pfaffian minors, the iterated oracle is one int walk of pair
-deletions, and a result is divided by its denominator once.
+brackets are cleared to ints over common denominators, with words as str
+codes (`fock.encode`): the closed form adds Pfaffian minors, the iterated
+oracle is one int walk of pair deletions, and a result is divided by its
+denominator when it is read.
 """
 from __future__ import annotations
 
@@ -18,12 +19,12 @@ from itertools import combinations, islice
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .fock import FockVector, HSpace, Mode, Word, apply_mode, check_report, wrap_table
+from .fock import FockVector, HSpace, apply_mode, check_report, code_letters, int_terms, wrap_table
 from .pfaffian import pfaffian
 from .scalars import add_into, add_term, binom, clear_denominators
 
 ExpGrid = Dict[int, FockVector]  # exponent of the formal variable -> state
-IntGrid = Dict[int, Dict[Word, int]]  # the same over a denominator kept aside
+IntGrid = Dict[int, Dict[str, int]]  # the same by str code, over a denominator kept aside
 
 
 class DeltaCoeffs:
@@ -80,23 +81,24 @@ def bracket(space: HSpace, C: DeltaCoeffs, g1: int, m1: int, g2: int, m2: int) -
     return space.pair(g1, g2) * c if c else Fraction(0)
 
 
-def _delete_pairs(table: Dict[Mode, Dict[Mode, int]], grid: IntGrid) -> IntGrid:
+def _delete_pairs(table: Dict[str, Dict[str, Tuple[int, int]]], grid: IntGrid) -> IntGrid:
     """One application of the operator on an int grid: each position pair
-    p < q of a word whose letters have a nonzero bracket in `table` goes to
-    the word without both, its exponent lowered by n_p + n_q + 1, with sign
-    (-1)^(p+q) (positions 1-based in the sign)."""
+    p < q of a word whose letters have a nonzero bracket x in `table`, as
+    table[a][b] = (x, n_a + n_b + 1), goes to the word without both, its
+    exponent lowered by n_p + n_q + 1, with sign (-1)^(p+q) (positions
+    1-based in the sign)."""
     out: IntGrid = {}
     for e, row in grid.items():
         for word, c in row.items():
             r = len(word)
             for p in range(r - 1):
                 brackets = table[word[p]]
-                ep = e + word[p][1] + 1  # -n_p = level + 1
                 for q in range(p + 1, r):
-                    x = brackets.get(word[q])
-                    if x:
+                    pair = brackets.get(word[q])
+                    if pair:
+                        x, drop = pair
                         reduced = word[:p] + word[p + 1 : q] + word[q + 1 :]
-                        add_term(out.setdefault(ep + word[q][1], {}), reduced, -c * x if (p + q) & 1 else c * x)
+                        add_term(out.setdefault(e - drop, {}), reduced, -c * x if (p + q) & 1 else c * x)
     return out
 
 
@@ -222,13 +224,15 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
     """Closed-form exponential: delete 2t positions, weight by the total
     contraction number and (-1)^(sum of 1-based positions).  Values add up
     as ints over Dv * D^top (D the lcm of the word kernels' denominators)."""
-    terms, Dv = clear_denominators(vec.terms)
-    kernels = {w: _bracket_kernel(space, C, [(g, -l - 1) for g, l in w]) for w in terms}
+    terms, Dv = int_terms(vec)
+    slots = {w: [(g, n) for n, g in code_letters(w)] for w in terms}
+    kernels = {w: _bracket_kernel(space, C, slots[w]) for w in terms}
     D = lcm(*(Dw for _, Dw in kernels.values()))
     top = max(map(len, terms), default=0) // 2
     rows: IntGrid = {0: {word: c * D**top for word, c in terms.items()}}
     for word, c in terms.items():
         r = len(word)
+        ns = [n for _, n in slots[word]]
         kernel, Dw = kernels[word]
         scale = [c * (D // Dw) ** t * D ** (top - t) for t in range(r // 2 + 1)]
         # every deleted set is a principal minor of one bracket Pfaffian
@@ -239,8 +243,8 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
             if not (x := minors[mask]):
                 continue
             sign = -1 if (sum(idx) + len(idx)) & 1 else 1  # 1-based position sum
-            exp = sum(word[i][1] + 1 for i in idx) - len(idx) // 2  # -sum n_i - t
-            keep = tuple(word[i] for i in range(r) if i not in idx)
+            exp = -sum(ns[i] for i in idx) - len(idx) // 2  # -sum n_i - t
+            keep = "".join([word[i] for i in range(r) if i not in idx])
             add_term(rows.setdefault(exp, {}), keep, sign * x * scale[len(idx) // 2])
     return wrap_table(rows, Dv * D**top)
 
@@ -248,16 +252,19 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
 def _delta_powers(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> Iterator[Tuple[IntGrid, int]]:
     """Yield the operator's powers over t! on `vec`, t = 0, 1, ..., as (int
     grid, Dv * D^t * t!): the state over Dv, one `_delete_pairs` step per
-    power with table[a][b] = D * bracket(a, b) on the state's letters (and
-    (b, a) = -(a, b) by antisymmetry).  The walk stops at the first power
-    that vanishes, after at most half the longest word."""
-    terms, den = clear_denominators(vec.terms)
-    letters = list(dict.fromkeys(letter for word in terms for letter in word))
-    kernel, D = _bracket_kernel(space, C, [(g, -l - 1) for g, l in letters])
-    table: Dict[Mode, Dict[Mode, int]] = {a: {} for a in letters}
+    power with table[a][b] = (D * bracket(a, b), n_a + n_b + 1) on the
+    state's letters (and (b, a) the negated bracket by antisymmetry).  The
+    walk stops at the first power that vanishes, after at most half the
+    longest word."""
+    terms, den = int_terms(vec)
+    letters = "".join(dict.fromkeys(ch for word in terms for ch in word))
+    slots = [(g, n) for n, g in code_letters(letters)]
+    kernel, D = _bracket_kernel(space, C, slots)
+    table: Dict[str, Dict[str, Tuple[int, int]]] = {a: {} for a in letters}
     for p, row in kernel.items():
         for q, x in row.items():
-            table[letters[p]][letters[q]], table[letters[q]][letters[p]] = x, -x
+            drop = slots[p][1] + slots[q][1] + 1
+            table[letters[p]][letters[q]], table[letters[q]][letters[p]] = (x, drop), (-x, drop)
     grid, t = {0: terms}, 0
     while any(grid.values()):
         yield grid, den
@@ -329,16 +336,20 @@ def check_exp_delta_neg_comm(
 ) -> dict:
     """Verify the commutator of the exponential with a regular one-sided
     series: both sides as exact grids over (x, y) on the given box, per
-    sample.  `nonzero` counts the cells where either side is nonzero."""
+    sample.  `nonzero` counts the cells where either side is nonzero.
+    Both sides add the rows of their vectors (`fock.int_terms`), each
+    scaled by 1 / its denominator, so the tables stay on ints where every
+    denominator is 1."""
     (lox, hix), (loy, hiy) = intervals
     mismatches = []
     nonzero = 0
     for si, v in enumerate(samples):
-        lhs, rhs = {}, {}  # (ex, ey) -> {word: coefficient}
+        lhs, rhs = {}, {}  # (ex, ey) -> {word code: coefficient}
 
         def add(table, ex, ey, vec, coeff):
             if lox <= ex <= hix and loy <= ey <= hiy:
-                add_into(table.setdefault((ex, ey), {}), vec.terms, coeff)
+                row, den = int_terms(vec)
+                add_into(table.setdefault((ex, ey), {}), row, coeff if den == 1 else Fraction(coeff, den))
 
         exp_v = exp_delta(space, C, v)
         # exp(D(y)) a^(m)(x)^- v  minus  a^(m)(x)^- exp(D(y)) v

@@ -10,6 +10,17 @@ anticommutator {a(m+1/2), b(-n-1/2)} = (a, b) delta_mn.
 
 Weights are half-integers; they are carried around as doubled integers
 (`weight2`) so exponent arithmetic stays integral.
+
+Inside the int tables of the engines (`vertex.series_into`, the closed-form
+fold of `wick`, the pair-deletion grids of `delta`) a word is its str code:
+one character per letter, chr(1 + gen + 64 n) for the creation mode
+(gen, -n-1).  A str hashes once and concatenates without building tuples.
+The code holds generators below 64 and n below 17,407 (the last code point
+is 0x10FFFF); a letter past it is a ValueError naming the limit.  A route
+encodes a vector once (`int_terms`), and `wrap_table` hands a table back
+as vectors that keep its int rows: a vector compares exactly on its row and
+denominator, and builds its tuple words and Fractions when `terms` is first
+read.
 """
 from __future__ import annotations
 
@@ -18,12 +29,15 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .pfaffian import det
-from .scalars import add_into, add_term, format_rational
+from .scalars import add_into, add_term, clear_denominators, format_rational
 
 Mode = Tuple[int, int]  # (generator index, level n) for h(n + 1/2)
 Word = Tuple[Mode, ...]
 
 VACUUM: Word = ()
+
+CODE_GENS = 64  # generator indices a word code holds: M <= 32
+CODE_LEVELS = 17407  # n < 17,407 keeps chr(1 + gen + 64 n) below 0x110000
 
 
 class HSpace:
@@ -105,10 +119,46 @@ def word_str(space: HSpace, word: Word) -> str:
     return " ".join(parts) + " |0>"
 
 
-class FockVector:
-    """Finite rational linear combination of words; the elements of V."""
+def letter(gen: int, n: int) -> str:
+    """The code of the creation mode (gen, -n-1): chr(1 + gen + 64 n)."""
+    if not 0 <= gen < CODE_GENS:
+        raise ValueError(f"generator index {gen} is past the word code's limit of {CODE_GENS} generators")
+    if not 0 <= n < CODE_LEVELS:
+        if n < 0:
+            raise ValueError(f"mode level {-n - 1} is not a creation level")
+        raise ValueError(f"mode level {-n - 1} is past the word code's limit: n = -level - 1 must be below {CODE_LEVELS}")
+    return chr(1 + gen + 64 * n)
 
-    __slots__ = ("terms",)
+
+def encode(word: Word) -> str:
+    """The str code of a word (see the module notes)."""
+    return "".join([letter(g, ~level) for g, level in word])
+
+
+def code_letters(code: str) -> List[Tuple[int, int]]:
+    """(n, gen) of each letter of a str code."""
+    return [divmod(ord(ch) - 1, 64) for ch in code]
+
+
+def decode(code: str) -> Word:
+    """The word of a str code."""
+    return tuple([((o := ord(ch) - 1) & 63, ~(o >> 6)) for ch in code])
+
+
+def code_weight2(code: str) -> int:
+    """`weight2` of the word of a str code."""
+    return sum(2 * n + 1 for n, _ in code_letters(code))
+
+
+class FockVector:
+    """Finite rational linear combination of words; the elements of V.
+
+    A vector from `wrap_table` is lazy: it holds an int row (str code ->
+    int) and its denominator, compares on them, and leaves the `terms` slot
+    unset until its first read, which `__getattr__` answers by building it.
+    """
+
+    __slots__ = ("terms", "_row", "_den")
 
     def __init__(self, terms: Dict[Word, Fraction] | None = None):
         table: Dict[Word, Fraction] = {}
@@ -118,13 +168,38 @@ class FockVector:
                 if c:
                     table[tuple(w)] = c
         self.terms = table
+        self._row = None
 
     @classmethod
     def _raw(cls, terms: Dict[Word, Fraction]) -> "FockVector":
         """Wrap a term map that already holds only nonzero tuple keys."""
         vec = cls.__new__(cls)
         vec.terms = terms
+        vec._row = None
         return vec
+
+    @classmethod
+    def _lazy(cls, row: Dict[str, int], den: int) -> "FockVector":
+        """Wrap an int row without zeros, by str code, over den."""
+        vec = cls.__new__(cls)
+        vec._row = row
+        vec._den = den
+        return vec
+
+    def __getattr__(self, name):
+        """Build `terms` of a lazy vector (word -> nonzero Fraction) on its
+        first read; every later read finds the slot set."""
+        if name != "terms":
+            raise AttributeError(name)
+        den = self._den
+        fracs: Dict[int, Fraction] = {}  # rows repeat few distinct values
+        terms = self.terms = {}
+        for code, c in self._row.items():
+            f = fracs.get(c)
+            if f is None:
+                f = fracs[c] = Fraction(c, den)
+            terms[decode(code)] = f
+        return terms
 
     @classmethod
     def vacuum(cls, coeff=1) -> "FockVector":
@@ -135,10 +210,22 @@ class FockVector:
         return cls({tuple(word): Fraction(coeff)})
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.terms if self._row is None else self._row)
 
     def __eq__(self, other):
-        return isinstance(other, FockVector) and self.terms == other.terms
+        """Exact equality; two lazy vectors compare their rows, directly
+        over one denominator and else by cross-multiplying."""
+        if not isinstance(other, FockVector):
+            return False
+        if not (self and other):
+            return not (self or other)
+        a, b = self._row, other._row
+        if a is None or b is None:
+            return self.terms == other.terms
+        da, db = self._den, other._den
+        if da == db:
+            return a == b
+        return a.keys() == b.keys() and all(c * db == b[w] * da for w, c in a.items())
 
     def __add__(self, other: "FockVector") -> "FockVector":
         return FockVector._raw(add_into(dict(self.terms), other.terms))
@@ -175,38 +262,33 @@ class FockVector:
         return f"FockVector({body})"
 
 
-def _annihilate_word(space: HSpace, gen: int, n: int, word: Word):
-    """Commute h_gen(n + 1/2) through a creation word onto the vacuum.
-
-    Yields (coeff, word-with-one-mode-removed) for each contraction; the
-    alternating sign tracks the anticommutations passed on the way.
-    """
-    sign = 1
-    for idx, (g2, level) in enumerate(word):
-        if -level - 1 == n:
-            p = space.pair(gen, g2)
-            if p:
-                yield sign * p, word[:idx] + word[idx + 1 :]
-        sign = -sign
-
-
 def apply_mode(space: HSpace, mode: Mode, vec: FockVector) -> FockVector:
-    """Act with one mode: creation prepends, annihilation contracts."""
+    """Act with one mode on vec's row (`int_terms`): creation prepends its
+    letter; annihilation h_gen(n + 1/2) contracts each letter at level
+    -n-1/2, signed by the anticommutations passed on the way.  The result
+    is lazy, over vec's denominator."""
     gen, level = mode
+    row, den = int_terms(vec)
     if level < 0:
-        return FockVector._raw({(mode,) + w: c for w, c in vec.terms.items()})
-    out: Dict[Word, Fraction] = {}
-    for w, c in vec.terms.items():
-        for s, w2 in _annihilate_word(space, gen, level, w):
-            add_term(out, w2, c * s)
-    return FockVector._raw(out)
+        head = letter(gen, ~level)
+        return FockVector._lazy({head + w: c for w, c in row.items()}, den)
+    out: Dict[str, int] = {}
+    for w, c in row.items():
+        sign = 1
+        for idx, (n, g2) in enumerate(code_letters(w)):
+            if n == level:
+                p = space.pair(gen, g2)
+                if p:
+                    add_term(out, w[:idx] + w[idx + 1 :], sign * p * c)
+            sign = -sign
+    return FockVector._lazy(out, den)
 
 
 def apply_modes(space: HSpace, modes: Sequence[Mode], vec: FockVector) -> FockVector:
     """Compose modes as operators: the last mode in the list acts first."""
     for mode in reversed(modes):
         vec = apply_mode(space, mode, vec)
-        if not vec.terms:
+        if not vec:
             break
     return vec
 
@@ -216,20 +298,20 @@ def theta(vec: FockVector) -> FockVector:
     return FockVector({w: -c if parity(w) else c for w, c in vec.terms.items()})
 
 
-def d_terms(terms: Dict[Word, Fraction]) -> Dict[Word, Fraction]:
-    """Translation generator on a term map (int terms stay ints): lowers
-    each mode level once, weighted m+1."""
-    out: Dict[Word, Fraction] = {}
+def d_terms(terms: Dict[str, int]) -> Dict[str, int]:
+    """Translation generator on a term map by str code (int terms stay
+    ints): lowers each mode level once, weighted n+1."""
+    out: Dict[str, int] = {}
     for w, c in terms.items():
-        for i, (g, level) in enumerate(w):
-            w2 = w[:i] + ((g, level - 1),) + w[i + 1 :]
-            add_term(out, w2, c * -level)  # m + 1 = -level for level = -m-1
+        for i, (n, g) in enumerate(code_letters(w)):
+            add_term(out, w[:i] + letter(g, n + 1) + w[i + 1 :], c * (n + 1))
     return out
 
 
 def d_op(vec: FockVector) -> FockVector:
     """Translation generator on a vector (see `d_terms`)."""
-    return FockVector(d_terms(vec.terms))
+    row, D = int_terms(vec)
+    return FockVector._lazy(d_terms(row), D)
 
 
 def grading_op(vec: FockVector) -> FockVector:
@@ -237,21 +319,20 @@ def grading_op(vec: FockVector) -> FockVector:
     return FockVector({w: c * Fraction(weight2(w), 2) for w, c in vec.terms.items()})
 
 
+def int_terms(vec: FockVector) -> Tuple[Dict[str, int], int]:
+    """(row, D): the terms of vec by str code, each value row[code] / D.  A
+    lazy vector gives its own row; any other is put over its least common
+    denominator and encoded."""
+    if vec._row is not None:
+        return vec._row, vec._den
+    ints, D = clear_denominators(vec.terms)
+    return {encode(w): c for w, c in ints.items()}, D
+
+
 def wrap_table(table: Dict, D: int) -> Dict:
-    """FockVectors of an accumulated table (cell -> int row) over the common
-    denominator D; empty rows are left out."""
-    out = {}
-    fracs: Dict[int, Fraction] = {}  # tables repeat few distinct values
-    for cell, row in table.items():
-        if row:
-            terms = {}
-            for w, c in row.items():
-                f = fracs.get(c)
-                if f is None:
-                    f = fracs[c] = Fraction(c, D)
-                terms[w] = f
-            out[cell] = FockVector._raw(terms)
-    return out
+    """Lazy FockVectors of an accumulated table (cell -> int row by str
+    code) over the common denominator D; empty rows are left out."""
+    return {cell: FockVector._lazy(row, D) for cell, row in table.items() if row}
 
 
 def check_report(identity: str, mismatches: Sequence, compared: int, nonzero: int, **extra) -> dict:

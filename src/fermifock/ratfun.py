@@ -178,6 +178,25 @@ def _divide_by_diff(a: Poly, i: int, j: int) -> Poly | None:
     return quotient
 
 
+def _canonical_diffs(powers: Mapping[Tuple[str, str], int]) -> Tuple[Dict[Tuple[str, str], int], int]:
+    """(den_diff, sign): the difference powers keyed by canonically ordered
+    pairs, zero powers dropped, and the sign that the swapped pairs put on
+    the numerator.  A negative power or a pair (x, x) is a ValueError."""
+    den_diff: Dict[Tuple[str, str], int] = {}
+    sign = 1
+    for (x, y), b in powers.items():
+        if x == y:
+            raise ValueError("difference factor needs distinct variables")
+        if b < 0:
+            raise ValueError(f"power of ({x} - {y}) must be nonnegative")
+        key = (x, y) if _var_key(x) < _var_key(y) else (y, x)
+        if key != (x, y) and b & 1:
+            sign = -sign
+        if b:
+            den_diff[key] = den_diff.get(key, 0) + b
+    return den_diff, sign
+
+
 class RationalFunction:
     """num / (prod z_i^a_i * prod (z_i - z_j)^b_ij), exact and normalized.
 
@@ -188,10 +207,18 @@ class RationalFunction:
     __slots__ = ("vars", "int_num", "int_den", "den_pow", "den_diff")
 
     def __init__(self, variables: Iterable[str], num: Mapping, den_pow=None, den_diff=None):
+        """num over prod z^a (den_pow) and prod (x - y)^b (den_diff); the
+        powers must be nonnegative, and a pair (x, y) out of canonical order
+        is stored as (y, x) with its sign absorbed into the numerator."""
         self.vars = tuple(variables)
-        self.int_num, self.int_den = clear_denominators({tuple(c): Fraction(v) for c, v in num.items() if v})
-        self.den_pow: Dict[str, int] = dict(den_pow or {})
-        self.den_diff: Dict[Tuple[str, str], int] = dict(den_diff or {})
+        self.den_pow: Dict[str, int] = {}
+        for v, a in (den_pow or {}).items():
+            if a < 0:
+                raise ValueError(f"power of {v} must be nonnegative")
+            if a:
+                self.den_pow[v] = a
+        self.den_diff, sign = _canonical_diffs(den_diff or {})
+        self.int_num, self.int_den = clear_denominators({tuple(c): sign * Fraction(v) for c, v in num.items() if v})
         self._normalize()
 
     @property
@@ -250,19 +277,9 @@ class RationalFunction:
     def diff_product(cls, powers: Mapping[Tuple[str, str], int], value=1) -> "RationalFunction":
         """value / prod (x - y)^b over the pairs of `powers`, with the
         canonical-order signs absorbed."""
-        value = Fraction(value)
         variables = tuple(sorted({v for pair in powers for v in pair}, key=_var_key))
-        den_diff: Dict[Tuple[str, str], int] = {}
-        for (x, y), b in powers.items():
-            if x == y:
-                raise ValueError("difference factor needs distinct variables")
-            if b < 0:
-                raise ValueError("power must be nonnegative")
-            key = (x, y) if _var_key(x) < _var_key(y) else (y, x)
-            if key != (x, y) and b & 1:
-                value = -value
-            if b:
-                den_diff[key] = den_diff.get(key, 0) + b
+        den_diff, sign = _canonical_diffs(powers)
+        value = sign * Fraction(value)
         if not value:
             return cls._raw(variables, {}, 1, {}, {})
         # a constant numerator shares no factor with the difference powers

@@ -11,13 +11,13 @@ nothing is approximated, and comparisons refuse cells outside the box.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations
 from operator import gt, le
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .fock import FockVector, HSpace, Mode, Word, check_report, d_terms, weight2, wrap_table
+from .fock import FockVector, HSpace, Mode, Word, check_report, code_letters, code_weight2, d_terms, encode
+from .fock import int_terms, letter, wrap_table
 from .laurent import Box
-from .scalars import add_into, binom, clear_denominators
+from .scalars import add_into, binom
 
 Cell = Tuple[int, ...]
 
@@ -25,32 +25,10 @@ Cell = Tuple[int, ...]
 Factor = Tuple[int, int, int]
 
 
-class Shuffle(NamedTuple):
-    """A 2-shuffle: two complementary increasing sequences in {1..r}."""
-
-    left: Tuple[int, ...]
-    right: Tuple[int, ...]
-    sign: int
-
-
 def _shuffle_sign(left_positions: Sequence[int]) -> int:
     """Permutation parity of the shuffle with 1-based left block positions."""
     inv = sum(p - t for t, p in enumerate(left_positions, start=1))
     return -1 if inv & 1 else 1
-
-
-def enumerate_shuffles(r: int, eta: int) -> List[Shuffle]:
-    """All C(r, eta) 2-shuffles splitting {1..r} into blocks of size eta, r-eta.
-
-    An oracle for the signs `series_into` builds one contraction at a time."""
-    if not 0 <= eta <= r:
-        raise ValueError("block size out of range")
-    out = []
-    universe = range(1, r + 1)
-    for left in combinations(universe, eta):
-        right = tuple(p for p in universe if p not in left)
-        out.append(Shuffle(left, right, _shuffle_sign(left)))
-    return out
 
 
 def normal_order_modes(modes: Sequence[Mode]) -> Tuple[int, Tuple[Mode, ...]]:
@@ -69,9 +47,9 @@ def normal_order_modes(modes: Sequence[Mode]) -> Tuple[int, Tuple[Mode, ...]]:
 def series_into(
     space: HSpace,
     sources: Sequence[Tuple[Sequence[Factor], int]],
-    terms: Dict[Word, int],
+    terms: Dict[str, int],
     intervals: Sequence[Tuple[int, int]],
-    table: Dict[Cell, Dict[Word, int]],
+    table: Dict[Cell, Dict[str, int]],
 ) -> None:
     """Accumulate normal-ordered factor products applied to a target into table.
 
@@ -80,12 +58,13 @@ def series_into(
     target.  Factor (g, m, var) stands for h_g^(m)(z_var); cells (one
     exponent slot per variable) are complete on the given closed intervals.
 
+    Words are str codes (`fock.encode`), in the target and in the table.
     Integer contract: the target is an integer term map (see
-    `scalars.clear_denominators`) and every scale an int.  Path coefficients are
+    `fock.int_terms`) and every scale an int.  Path coefficients are
     products of binomials, signs and pairings, so the table accumulates
     plain ints; a non-integral Gram matrix makes them exact Fractions on the
-    same path.  The caller divides its common denominator out once per
-    entry, in `fock.wrap_table`.
+    same path.  The caller hands the table to `fock.wrap_table`, whose
+    vectors divide by its common denominator when they are read.
 
     Each (source, target word) walks the source's factors from right to
     left.  At each factor a partial state either puts the factor in front
@@ -101,8 +80,8 @@ def series_into(
     remaining suffix down; equal partial states of different sources,
     words or splits are summed before they are expanded further, so words
     that share their tails are walked once.  Each suffix node keeps, for
-    this call only, its list of (mode, C(n, m)) by exponent, so no leaf
-    computes a binomial or builds a mode tuple.  The last creation writes
+    this call only, its list of (letter, C(n, m)) by exponent, so no leaf
+    computes a binomial or encodes a letter.  The last creation writes
     straight into the table.
 
     Termination: annihilation modes must contract against creation modes
@@ -166,9 +145,11 @@ def series_into(
                         cre_ids[sid] = nid
                     nxt.append((nid, ncre + 1, w, c, exps))
                     psign = -1 if ncre & 1 else 1
-                    for idx, (g2, level) in enumerate(w):
+                    for idx, ch in enumerate(w):
+                        n2, g2 = divmod(ord(ch) - 1, 64)  # the letter (g2, -n2-1)
                         p = pair(gen, g2)
                         if p:
+                            level = ~n2
                             coeff = binom(level, m)  # C(-n-1, m) with n = -level-1
                             if coeff:
                                 delta = level - m  # -n-m-1
@@ -197,7 +178,7 @@ def series_into(
                     continue
                 if ncre:
                     layer = layers[ncre]
-                    key = (sid, (), w, exps)
+                    key = (sid, "", w, exps)
                     layer[key] = layer.get(key, 0) + c
                 elif all(map(le, los, exps)):
                     # inline, not scalars.add_term: the engine's hottest writes
@@ -209,7 +190,7 @@ def series_into(
                         row.pop(w, None)
 
     # creation stage: levels n = e + m with e >= 0, coefficient C(n, m);
-    # modes[e] of a node is ((gen, -n-1),) and C(n, m), grown on demand
+    # modes[e] of a node is the letter (gen, -n-1) and C(n, m), grown on demand
     for left in range(len(layers) - 1, 0, -1):
         below = layers[left - 1]
         for (sid, prefix, w, exps), c in layers[left].items():
@@ -228,7 +209,7 @@ def series_into(
                         continue
                     start = max(0, los[s0] - x)
             for e in range(len(modes), budget + 1):
-                modes.append((((gen, -e - m - 1),), binom(e + m, m)))
+                modes.append((letter(gen, e + m), binom(e + m, m)))
             for e in range(start, budget + 1):
                 mode, b = modes[e]
                 cc = c * b
@@ -265,8 +246,8 @@ def ordered_factor_series(
     """Windowed grid of a normal-ordered factor product applied to vec: the
     engine on one factor list, which tests compare with a mode-by-mode
     oracle."""
-    terms, D = clear_denominators(vec.terms)
-    table: Dict[Cell, Dict[Word, int]] = {}
+    terms, D = int_terms(vec)
+    table: Dict[Cell, Dict[str, int]] = {}
     series_into(space, ((factors, 1),), terms, intervals, table)
     return wrap_table(table, D)
 
@@ -299,9 +280,9 @@ class WindowedSeries:
         )
 
 
-def _sources(u_terms: Dict[Word, int]) -> List[Tuple[Tuple[Factor, ...], int]]:
+def _sources(u_terms: Dict[str, int]) -> List[Tuple[Tuple[Factor, ...], int]]:
     """The series_into sources of a state: one factor list per word."""
-    return [(tuple((g, -level - 1, 0) for g, level in word), c) for word, c in u_terms.items()]
+    return [(tuple((g, n, 0) for n, g in code_letters(word)), c) for word, c in u_terms.items()]
 
 
 def _as_vector(u) -> FockVector:
@@ -312,9 +293,9 @@ def _as_vector(u) -> FockVector:
 
 def y_series(space: HSpace, u, v, lo: int, hi: int, var: str = "x") -> WindowedSeries:
     """Windowed coefficients of the vertex operator of u acting on v."""
-    u_terms, Du = clear_denominators(_as_vector(u).terms)
-    v_terms, Dv = clear_denominators(_as_vector(v).terms)
-    table: Dict[Cell, Dict[Word, int]] = {}
+    u_terms, Du = int_terms(_as_vector(u))
+    v_terms, Dv = int_terms(_as_vector(v))
+    table: Dict[Cell, Dict[str, int]] = {}
     series_into(space, _sources(u_terms), v_terms, ((lo, hi),), table)
     return WindowedSeries(Box((var,), ((lo, hi),)), wrap_table(table, Du * Dv))
 
@@ -326,7 +307,7 @@ def y_coeff(space: HSpace, u, k: int, v) -> FockVector:
 
 def product_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
     """Coefficients of x^k1 y^k2 in the two-operator product acting on v."""
-    (t1, D1), (t2, D2), (tv, Dv) = (clear_denominators(_as_vector(s).terms) for s in (u1, u2, v))
+    (t1, D1), (t2, D2), (tv, Dv) = (int_terms(_as_vector(s)) for s in (u1, u2, v))
     outer, inner = box.intervals
     grid = _product_grid(space, t1, t2, tv, inner, lambda k2: outer)
     return WindowedSeries(box, wrap_table(grid, D1 * D2 * Dv))
@@ -334,7 +315,7 @@ def product_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
 
 def iterate_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
     """Coefficients of x0^k1 x2^k2 of the iterated vertex operator on v."""
-    (t1, D1), (t2, D2), (tv, Dv) = (clear_denominators(_as_vector(s).terms) for s in (u1, u2, v))
+    (t1, D1), (t2, D2), (tv, Dv) = (int_terms(_as_vector(s)) for s in (u1, u2, v))
     inner, outer = box.intervals
     grid = _iterate_grid(space, t1, t2, tv, inner, lambda k1: outer)
     return WindowedSeries(box, wrap_table(grid, D1 * D2 * Dv))
@@ -342,7 +323,7 @@ def iterate_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
 
 def _product_grid(
     space: HSpace, u1_terms, u2_terms, v_terms, inner, outer_window
-) -> Dict[Cell, Dict[Word, int]]:
+) -> Dict[Cell, Dict[str, int]]:
     """Int grid c[k1, k2] of Y(u1, x) Y(u2, y) v over the denominators of
     the three term maps: u2 acts on v over the inner y interval, then u1
     on each nonzero column k2 over the x interval outer_window(k2)."""
@@ -351,7 +332,7 @@ def _product_grid(
     for (k2,), col in cols.items():
         lo, hi = outer_window(k2)
         if col and lo <= hi:
-            rows: Dict[Cell, Dict[Word, int]] = {}
+            rows: Dict[Cell, Dict[str, int]] = {}
             series_into(space, u1, col, ((lo, hi),), rows)
             grid.update(((k1, k2), row) for (k1,), row in rows.items())
     return grid
@@ -359,7 +340,7 @@ def _product_grid(
 
 def _iterate_grid(
     space: HSpace, u1_terms, u2_terms, v_terms, inner, outer_window
-) -> Dict[Cell, Dict[Word, int]]:
+) -> Dict[Cell, Dict[str, int]]:
     """Int grid d[k1, k2] of Y(Y(u1, x0) u2, x2) v over the denominators
     of the three term maps: u1 acts on u2 over the inner x0 interval, then
     each nonzero state of row k1 on v over the x2 interval outer_window(k1)."""
@@ -368,15 +349,15 @@ def _iterate_grid(
     for (k1,), a in states.items():
         lo, hi = outer_window(k1)
         if a and lo <= hi:
-            rows: Dict[Cell, Dict[Word, int]] = {}
+            rows: Dict[Cell, Dict[str, int]] = {}
             series_into(space, _sources(a), v_terms, ((lo, hi),), rows)
             grid.update(((k1, k2), row) for (k2,), row in rows.items())
     return grid
 
 
-def _binomial_fold(rows) -> Dict[Word, int]:
+def _binomial_fold(rows) -> Dict[str, int]:
     """The nonzero terms of sum k * row over (row, k) pairs of int tables."""
-    acc: Dict[Word, int] = {}
+    acc: Dict[str, int] = {}
     for row, k in rows:
         add_into(acc, row, k)
     return acc
@@ -393,11 +374,11 @@ def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> d
     is nonempty.  Every window cell is compared; `nonzero` counts those with
     a nonzero side.
     """
-    (u2_terms, _), (w_terms, _) = (clear_denominators(_as_vector(s).terms) for s in (u2, w))
-    u1 = {tuple(u1_word): 1}
+    (u2_terms, _), (w_terms, _) = (int_terms(_as_vector(s)) for s in (u2, w))
+    u1 = {encode(u1_word): 1}
     r = len(u1_word)
     msum = sum(-level - 1 for _, level in u1_word)
-    P = (max(map(weight2, w_terms), default=0) + 2 * msum + 2 * r) // 2
+    P = (max(map(code_weight2, w_terms), default=0) + 2 * msum + 2 * r) // 2
 
     t2min = _trunc2(u2_terms, w_terms)  # lower truncation in x2
     (lo1, hi1), (lo2, hi2) = box.intervals
@@ -440,7 +421,7 @@ def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> d
 
 def _trunc2(u_terms, v_terms) -> int:
     """First exponent at which a coefficient of Y(u, x)v may be nonzero."""
-    return -((max(map(weight2, u_terms), default=0) + max(map(weight2, v_terms), default=0)) // 2)
+    return -((max(map(code_weight2, u_terms), default=0) + max(map(code_weight2, v_terms), default=0)) // 2)
 
 
 def check_axioms(space: HSpace, samples: Sequence[FockVector], lo: int, hi: int) -> List[dict]:
@@ -450,23 +431,24 @@ def check_axioms(space: HSpace, samples: Sequence[FockVector], lo: int, hi: int)
 
     Both sides of every equation are int rows over the pair's common
     denominator Du·Dv (exact Fractions under a non-integral Gram matrix);
-    the grading equations are doubled, 2·L0 scaling a word by `weight2`.
+    the grading equations are doubled, 2·L0 scaling a word by `weight2`
+    (`fock.code_weight2` on the str codes of the rows).
     A compared cell counts toward `nonzero` when either side is nonzero.
     `regular_at_zero` and `lower_truncation` claim that a coefficient
     vanishes, so every cell they read counts.
     """
-    ints = [clear_denominators(s.terms)[0] for s in samples]
+    ints = [int_terms(s)[0] for s in samples]
     pairs = [(ints[i], ints[(i + 1) % len(ints)]) for i in range(len(ints))]
     window = range(lo, hi + 1)
 
     def y(u, v, top=hi):
         """The int rows of Y(u, x)v on [lo, top], by exponent."""
-        table: Dict[Cell, Dict[Word, int]] = {}
+        table: Dict[Cell, Dict[str, int]] = {}
         series_into(space, _sources(u), v, ((lo, top),), table)
         return defaultdict(dict, {k: row for (k,), row in table.items()})
 
     def doubled(terms):
-        return {w: weight2(w) * c for w, c in terms.items()}
+        return {w: code_weight2(w) * c for w, c in terms.items()}
 
     # Y(u, x)v once per pair, one cell past the window for the derivative
     bases = [y(u, v, hi + 1) for u, v in pairs]
@@ -480,13 +462,13 @@ def check_axioms(space: HSpace, samples: Sequence[FockVector], lo: int, hi: int)
 
     def identity():
         for _, v in pairs:
-            rows = y({(): 1}, v)
+            rows = y({"": 1}, v)
             for k in window:
                 yield ("identity", k), rows[k], v if k == 0 else {}
 
     def creation():
         for u, _ in pairs:
-            rows = y(u, {(): 1})
+            rows = y(u, {"": 1})
             for k in range(lo, min(0, hi + 1)):
                 yield ("regular_at_zero", k), rows[k], None
             if lo <= 0 <= hi:

@@ -37,7 +37,7 @@ from math import inf, lcm
 from operator import add
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .fock import FockVector, HSpace, Word, check_report, wrap_table
+from .fock import FockVector, HSpace, Word, check_report, code_letters, int_terms, wrap_table
 from .laurent import Box, LaurentPoly
 from .pfaffian import det, pfaffian
 from .ratfun import RationalFunction, deferred_pfaffian, expand_terms, f_mn, region_cells
@@ -354,7 +354,7 @@ def _wick_memo(count: int, pairs, names):
 
 def _slot_floor(derivs: Sequence[int], words) -> int:
     """Sharp floor for the exponent sum of a factor group against a target
-    made of the given words.
+    made of the given words (str codes).
 
     Annihilators contract distinct creation modes of one word; pairing the
     largest derivative orders with the deepest levels minimizes the sum of
@@ -365,7 +365,7 @@ def _slot_floor(derivs: Sequence[int], words) -> int:
     ms = sorted(derivs, reverse=True)
     best = 0
     for w in words:
-        levels = sorted(level for _, level in w)
+        levels = sorted(~n for n, _ in code_letters(w))
         run = 0
         cur = 0
         for q in range(min(len(ms), len(levels))):
@@ -402,14 +402,15 @@ def noexpr_apply(
 
     Every coefficient of the expression and of v is brought over one common
     denominator D, so the grid fold accumulates integers (exact Fractions
-    under a non-integral Gram matrix) and divides by D once per entry.
+    under a non-integral Gram matrix) on the str codes of words, and the
+    lazy vectors of `fock.wrap_table` divide by D when they are read.
     """
     order_index = {name: i for i, name in enumerate(order)}
     los = [lo for lo, _ in intervals]
     his = [hi for _, hi in intervals]
-    v_terms, D = clear_denominators(v.terms)
+    v_terms, D = int_terms(v)
     Dc = lcm(*(rf.int_den for rf, _ in expr.terms))
-    acc: Dict[Cell, Dict[Word, int]] = {}
+    acc: Dict[Cell, Dict[str, int]] = {}
     for coeff_rf, factors in expr.terms:
         _apply_term(space, coeff_rf, Dc // coeff_rf.int_den, factors, v_terms, order_index, los, his, acc)
     return wrap_table(acc, D * Dc)
@@ -460,7 +461,7 @@ def _apply_term(space, coeff_rf, scale, factors, v_terms, order_index, los, his,
         box.append((floors[nv], box[b][1] - floors[b]))
     if any(lo > hi for lo, hi in box):
         return
-    table: Dict[Cell, Dict[Word, int]] = {}
+    table: Dict[Cell, Dict[str, int]] = {}
     engine_factors = tuple((f.gen, f.deriv, slots[f.var]) for f in factors)
     series_into(space, ((engine_factors, 1),), v_terms, tuple(box), table)
     # slots the output window bounds directly; the split keeps b and s in it

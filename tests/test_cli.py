@@ -568,3 +568,22 @@ def test_cli_fuzz_keeps_the_exit_contract(tmp_path, capsys):
         codes.append(code)
     capsys.readouterr()
     assert codes.count(0) >= 50 and codes.count(2) >= 50, codes
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["check", "--suite", "delta", "--window=-100000,100000"], "limit 4000"),
+        (["check", "--suite", "axioms", "--window=4001,4002"], "limit 4000"),
+        (["check", "--suite", "wick", "--window=-3,3,0,4001"], "limit 4000"),
+        (["expdelta", "e1(-1/2) f1(-34815/2) |0>"], "below 17407"),
+    ],
+)
+def test_cli_refuses_letters_past_the_word_code(argv, limit):
+    """Inputs whose modes would pass the str code of words (levels n below
+    17,407) exit 2 with an `error:` line naming the limit, before any work."""
+    start = time.perf_counter()
+    proc = run_cli(["--json", *argv])
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2 and proc.stdout == "", proc
+    assert proc.stderr.startswith("error:") and limit in proc.stderr and "Traceback" not in proc.stderr

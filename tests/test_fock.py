@@ -4,21 +4,31 @@ from itertools import permutations
 
 import pytest
 
+from fermifock import vertex, wick
 from fermifock.fock import (
+    CODE_GENS,
+    CODE_LEVELS,
     VACUUM,
     FockVector,
     HSpace,
     apply_mode,
     apply_modes,
+    code_weight2,
     d_op,
+    decode,
+    encode,
     grading_op,
+    int_terms,
+    letter,
     parity,
     random_state,
     random_word,
     theta,
     weight,
     weight2,
+    wrap_table,
 )
+from fermifock.laurent import Box
 from fermifock.pfaffian import det
 
 SPACE = HSpace(2)
@@ -236,3 +246,98 @@ def test_empty_space_collapses_to_vacuum_multiples():
     assert apply_modes(empty, [], v) == v
     assert set(random_state(random.Random(0), empty, 4).terms) == {()}
     assert grading_op(v) == FockVector()
+
+
+def test_word_code_round_trip_and_limits():
+    """A word is one character per letter inside the int tables; the code
+    holds generators below 64 and levels n = -level - 1 below 17,407."""
+    last = (CODE_GENS - 1, -CODE_LEVELS)  # gen 63, n = 17,406
+    words = [VACUUM, ((E1, -1),), ((F2, -3), (E1, -1), (F2, -3)), (last,), ((0, -1), last, (5, -200))]
+    for word in words:
+        code = encode(word)
+        assert isinstance(code, str) and len(code) == len(word)
+        assert decode(code) == word
+        assert code_weight2(code) == weight2(word)
+    assert encode(((E1, -1), (E2, -1))) != encode(((E2, -1), (E1, -1)))
+    assert letter(CODE_GENS - 1, CODE_LEVELS - 1) == encode((last,)) == chr(0x10FFC0)  # n = 17,407 would pass 0x10FFFF
+    with pytest.raises(ValueError, match="limit of 64 generators"):
+        encode(((CODE_GENS, -1),))
+    with pytest.raises(ValueError, match="must be below 17407"):
+        encode(((0, -CODE_LEVELS - 1),))
+    with pytest.raises(ValueError, match="not a creation level"):
+        encode(((0, 0),))
+    # the engines raise the same error when a window asks for such a letter
+    with pytest.raises(ValueError, match="must be below 17407"):
+        vertex.y_series(SPACE, FockVector.word(((E1, -1),)), FockVector.vacuum(), CODE_LEVELS, CODE_LEVELS)
+
+
+def test_lazy_vectors_compare_exactly():
+    """Lazy vectors compare their rows: directly over one denominator, by
+    cross-multiplying over two; against an eager vector through `terms`."""
+    row = {encode(((E1, -1),)): 3, encode(((F1, -2), (E2, -1))): -4}
+    half = FockVector._lazy(row, 2)
+    assert half == FockVector._lazy({w: 2 * c for w, c in row.items()}, 4)
+    assert half == FockVector._lazy(dict(row), 2)
+    assert half != FockVector._lazy({w: 2 * c for w, c in row.items()}, 2)
+    assert half != FockVector._lazy({encode(((E1, -1),)): 6}, 4)  # a word fewer
+    assert half != FockVector._lazy({encode(((E1, -1),)): 6, encode(((F1, -2),)): -8}, 4)  # another word
+    eager = FockVector({((E1, -1),): Fraction(3, 2), ((F1, -2), (E2, -1)): -2})
+    assert eager == FockVector._lazy(row, 2) and FockVector._lazy(row, 2) == eager
+    assert eager != FockVector._lazy(row, 3)
+    empty = FockVector._lazy({}, 5)
+    assert not empty and empty == FockVector() and FockVector() == empty
+    assert half != FockVector() and FockVector() != half and empty != half
+    # terms are built once, as tuple words and Fractions, and left alone after
+    lazy = FockVector._lazy(row, 2)
+    assert lazy.terms == {((E1, -1),): Fraction(3, 2), ((F1, -2), (E2, -1)): Fraction(-2)}
+    assert lazy.terms is lazy.terms
+    assert all(type(c) is Fraction for c in lazy.terms.values())
+    assert lazy.render(SPACE) == eager.render(SPACE) and lazy.items() == eager.items()
+    # a route takes a lazy vector's own row; an eager one is encoded over its lcm
+    assert int_terms(lazy) == (row, 2)
+    assert int_terms(eager) == (row, 2)
+    assert int_terms(FockVector()) == ({}, 1)
+
+
+def _eager_wrap(table, D):
+    """The eager wrap of an int table: tuple words, Fraction values, empty
+    rows left out."""
+    return {
+        cell: {decode(code): Fraction(c, D) for code, c in row.items()}
+        for cell, row in table.items()
+        if row
+    }
+
+
+def test_lazy_grids_materialize_as_the_eager_wrap(monkeypatch):
+    """`terms` of every cell of seeded product_series, iterate_series and
+    noexpr_apply grids equals the eager wrap of the same int table: tuple
+    words of creation modes and nonzero Fractions."""
+    wrapped = []
+
+    def spy(table, D):
+        out = wrap_table(table, D)
+        wrapped.append((_eager_wrap(table, D), out))
+        return out
+
+    monkeypatch.setattr(vertex, "wrap_table", spy)
+    monkeypatch.setattr(wick, "wrap_table", spy)
+    rng = random.Random(4242)
+    box = Box(("x", "y"), ((-3, 3), (-3, 3)))
+    cells = 0
+    for _ in range(6):
+        u1, u2 = random_word(rng, SPACE, 4), random_word(rng, SPACE, 4)
+        v = random_state(rng, SPACE, 4, 3)
+        for route in (vertex.product_series, vertex.iterate_series):
+            route(SPACE, FockVector.word(u1), FockVector.word(u2), v, box)
+        for closed in (wick.wick_product, wick.wick_iterate):
+            wick.noexpr_apply(SPACE, closed(SPACE, u1, u2), v, ("x", "y"), box.intervals)
+    assert len(wrapped) == 6 * 4
+    for eager, lazy in wrapped:
+        assert eager.keys() == lazy.keys()
+        for cell, terms in eager.items():
+            got = lazy[cell].terms
+            assert got == terms and all(c and type(c) is Fraction for c in got.values())
+            assert all(isinstance(w, tuple) and all(level < 0 for _, level in w) for w in got)
+            cells += 1
+    assert cells > 100

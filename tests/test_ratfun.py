@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, inf
 
+import pytest
+
 from fermifock import ratfun
 from fermifock.laurent import Box
 from fermifock.ratfun import RationalFunction
@@ -301,3 +303,33 @@ def test_region_cells_caps_only_keep_every_cell_under_an_infinite_cap():
         assert got == ratfun.region_cells(rf, npos, [top] + caps[1:])
         intervals = [(-10**6, top)] + [(-10**6, hi) for hi in caps[1:]]
         assert {cell: Fraction(c, rf.int_den) for cell, c in got.items()} == _brute_expansion(rf, order, intervals)
+
+
+def test_constructor_refuses_a_negative_difference_power():
+    """A negative power of (x - y) is refused, not dropped: the value
+    z1 - z2 once rendered as (1)."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        RationalFunction(["z1", "z2"], {(0, 0): 1}, {}, {("z1", "z2"): -1})
+    with pytest.raises(ValueError, match="distinct"):
+        RationalFunction(["z1"], {(0,): 1}, {}, {("z1", "z1"): 1})
+
+
+def test_constructor_refuses_a_negative_variable_power():
+    """A negative power of z once survived in den_pow and rendered as a
+    pole: (1) / z1 for the value z1."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        RationalFunction(["z1"], {(0,): 1}, {"z1": -1})
+    zero = RationalFunction(["z1"], {(1,): 2}, {"z1": 0})
+    assert zero.den_pow == {} and zero.render() == "(2 z1)"
+
+
+def test_constructor_canonicalizes_difference_keys():
+    """A pair out of canonical order is stored the other way round, with
+    the sign of its odd powers absorbed, as diff_product stores it."""
+    one = RationalFunction(["z1", "z2"], {(0, 0): 1}, {}, {("z2", "z1"): 1})
+    assert one.den_diff == {("z1", "z2"): 1}
+    assert one.render() == RationalFunction.diff_inverse("z2", "z1", 1).render() == "(-1) / (z1 - z2)"
+    assert one == -RationalFunction.diff_inverse("z1", "z2", 1)
+    square = RationalFunction(["z1", "z2"], {(1, 0): 3}, {}, {("z2", "z1"): 2, ("z1", "z2"): 1})
+    assert square.den_diff == {("z1", "z2"): 3}
+    assert square.render() == "(3 z1) / (z1 - z2)^3"

@@ -7,7 +7,7 @@ from fermifock.delta import (
     check_exp_delta_neg_comm,
     check_exp_delta_routes,
 )
-from fermifock.fock import FockVector, HSpace, check_report, weight2
+from fermifock.fock import FockVector, HSpace, check_report, code_weight2
 from fermifock.laurent import Box
 from fermifock.straightening import check_confluence
 from fermifock.vertex import check_axioms, check_weak_associativity
@@ -109,7 +109,7 @@ def test_every_check_fails_when_one_route_is_perturbed(monkeypatch):
             vertex, "d_terms", lambda t: {w: 2 * c for w, c in d_terms(t).items()},
             lambda: axiom("translation"),
         ),
-        (vertex, "weight2", lambda word: weight2(word) + 1, lambda: axiom("grading_commutator")),
+        (vertex, "code_weight2", lambda code: code_weight2(code) + 1, lambda: axiom("grading_commutator")),
         (
             delta, "t_number_alt", lambda *a: t_number_alt(*a) + 1,
             lambda: check_contraction_numbers(SPACE, C, [E1, F1], [0, 1], [(0, 1)]),

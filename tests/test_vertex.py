@@ -12,6 +12,7 @@ from fermifock.fock import (
     apply_modes,
     check_report,
     d_op,
+    encode,
     grading_op,
     random_state,
     random_word,
@@ -24,7 +25,6 @@ from fermifock.scalars import binom, clear_denominators
 from fermifock.vertex import (
     check_axioms,
     check_weak_associativity,
-    enumerate_shuffles,
     iterate_series,
     normal_order_modes,
     ordered_factor_series,
@@ -33,6 +33,8 @@ from fermifock.vertex import (
     y_coeff,
     y_series,
 )
+
+from oracles import enumerate_shuffles
 
 SPACE = HSpace(2)
 E1, E2, F1, F2 = 0, 1, 2, 3
@@ -343,7 +345,7 @@ def test_integer_axiom_checks_match_fock_vector_route(monkeypatch):
         (HSpace(2, RATIONAL_GRAM), lambda rng: [_mixed_state(rng, 4, 2) for _ in range(4)]),
     ]
     windows = ((-6, 6), (-8, -1), (2, 5), (9, 10))
-    d, doubled = vertex.d_terms, vertex.weight2
+    d, doubled = vertex.d_terms, vertex.code_weight2
     statuses = {}
     for space, draw in configs:
         for seed in range(4):
@@ -355,7 +357,7 @@ def test_integer_axiom_checks_match_fock_vector_route(monkeypatch):
                     statuses[r["status"]] = statuses.get(r["status"], 0) + 1
             with monkeypatch.context() as patch:
                 patch.setattr(vertex, "d_terms", lambda t: {w: 2 * c for w, c in d(t).items()})
-                patch.setattr(vertex, "weight2", lambda word: doubled(word) + 1)
+                patch.setattr(vertex, "code_weight2", lambda code: doubled(code) + 1)
                 reports = check_axioms(space, samples, -3, 3)
             want = _axiom_reports_by_vectors(
                 space, samples, -3, 3,
@@ -608,7 +610,8 @@ def test_merged_series_walk_matches_one_source_calls_and_mode_oracle():
                 sources.append((head[: rng.randint(0, 1)] + tail, rng.choice((1, -2, 3))))
             sources.append((sources[0][0], -sources[0][1]))
             v = _mixed_state(rng, 4, 3)
-            terms, D = clear_denominators(v.terms)
+            ints, D = clear_denominators(v.terms)
+            terms = {encode(w): c for w, c in ints.items()}  # the engine keys words by str code
 
             merged = {}
             series_into(space, sources, terms, intervals, merged)
@@ -807,7 +810,7 @@ def test_integer_weak_associativity_fold_matches_fock_vector_fold(monkeypatch):
         def poke_ints(*args):
             ints = grid(*args)
             row = ints.setdefault(cell, {})
-            row[word] = row.get(word, 0) + 1
+            row[encode(word)] = row.get(encode(word), 0) + 1
             return ints
 
         def poke_vectors(grid):
