@@ -309,8 +309,8 @@ def _suite_pbw(rep, space, rng, trials=60):
 # a check creates modes h(-n-1/2) with n up to about twice the window's
 # upper edge plus the word weights (the wick suite at --max-weight 4 reached
 # n = 2 top + 8 for top = 6 and 12), and the str code of a word
-# (fock.letter) holds n < 17,407: the limit leaves a factor of 4
-_WINDOW_TOP = 4000
+# (fock.letter) holds n < CODE_LEVELS: a quarter of it leaves a factor of 2
+_WINDOW_TOP = CODE_LEVELS // 4
 
 
 def cmd_check(args) -> int:

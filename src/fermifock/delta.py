@@ -225,7 +225,7 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
     contraction number and (-1)^(sum of 1-based positions).  Values add up
     as ints over Dv * D^top (D the lcm of the word kernels' denominators)."""
     terms, Dv = int_terms(vec)
-    slots = {w: [(g, n) for n, g in code_letters(w)] for w in terms}
+    slots = {w: code_letters(w) for w in terms}
     kernels = {w: _bracket_kernel(space, C, slots[w]) for w in terms}
     D = lcm(*(Dw for _, Dw in kernels.values()))
     top = max(map(len, terms), default=0) // 2
@@ -258,7 +258,7 @@ def _delta_powers(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> Iterator[Tu
     longest word."""
     terms, den = int_terms(vec)
     letters = "".join(dict.fromkeys(ch for word in terms for ch in word))
-    slots = [(g, n) for n, g in code_letters(letters)]
+    slots = code_letters(letters)
     kernel, D = _bracket_kernel(space, C, slots)
     table: Dict[str, Dict[str, Tuple[int, int]]] = {a: {} for a in letters}
     for p, row in kernel.items():

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 from .pfaffian import det
@@ -136,8 +137,8 @@ def encode(word: Word) -> str:
 
 
 def code_letters(code: str) -> List[Tuple[int, int]]:
-    """(n, gen) of each letter of a str code."""
-    return [divmod(ord(ch) - 1, 64) for ch in code]
+    """(gen, n) of each letter of a str code, as for `letter(gen, n)`."""
+    return [((o := ord(ch) - 1) & 63, o >> 6) for ch in code]
 
 
 def decode(code: str) -> Word:
@@ -147,7 +148,7 @@ def decode(code: str) -> Word:
 
 def code_weight2(code: str) -> int:
     """`weight2` of the word of a str code."""
-    return sum(2 * n + 1 for n, _ in code_letters(code))
+    return sum(2 * n + 1 for _, n in code_letters(code))
 
 
 class FockVector:
@@ -156,6 +157,8 @@ class FockVector:
     A vector from `wrap_table` is lazy: it holds an int row (str code ->
     int) and its denominator, compares on them, and leaves the `terms` slot
     unset until its first read, which `__getattr__` answers by building it.
+    The row stays the vector's value, so the `terms` of a lazy vector is a
+    read-only mapping: an edit raises TypeError instead of going unseen.
     """
 
     __slots__ = ("terms", "_row", "_den")
@@ -187,19 +190,20 @@ class FockVector:
         return vec
 
     def __getattr__(self, name):
-        """Build `terms` of a lazy vector (word -> nonzero Fraction) on its
-        first read; every later read finds the slot set."""
+        """Build `terms` of a lazy vector (word -> nonzero Fraction, read
+        only) on its first read; every later read finds the slot set."""
         if name != "terms":
             raise AttributeError(name)
         den = self._den
         fracs: Dict[int, Fraction] = {}  # rows repeat few distinct values
-        terms = self.terms = {}
+        terms = {}
         for code, c in self._row.items():
             f = fracs.get(c)
             if f is None:
                 f = fracs[c] = Fraction(c, den)
             terms[decode(code)] = f
-        return terms
+        self.terms = MappingProxyType(terms)
+        return self.terms
 
     @classmethod
     def vacuum(cls, coeff=1) -> "FockVector":
@@ -275,7 +279,7 @@ def apply_mode(space: HSpace, mode: Mode, vec: FockVector) -> FockVector:
     out: Dict[str, int] = {}
     for w, c in row.items():
         sign = 1
-        for idx, (n, g2) in enumerate(code_letters(w)):
+        for idx, (g2, n) in enumerate(code_letters(w)):
             if n == level:
                 p = space.pair(gen, g2)
                 if p:
@@ -303,7 +307,7 @@ def d_terms(terms: Dict[str, int]) -> Dict[str, int]:
     ints): lowers each mode level once, weighted n+1."""
     out: Dict[str, int] = {}
     for w, c in terms.items():
-        for i, (n, g) in enumerate(code_letters(w)):
+        for i, (g, n) in enumerate(code_letters(w)):
             add_term(out, w[:i] + letter(g, n + 1) + w[i + 1 :], c * (n + 1))
     return out
 

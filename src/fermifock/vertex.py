@@ -282,7 +282,7 @@ class WindowedSeries:
 
 def _sources(u_terms: Dict[str, int]) -> List[Tuple[Tuple[Factor, ...], int]]:
     """The series_into sources of a state: one factor list per word."""
-    return [(tuple((g, n, 0) for n, g in code_letters(word)), c) for word, c in u_terms.items()]
+    return [(tuple((g, n, 0) for g, n in code_letters(word)), c) for word, c in u_terms.items()]
 
 
 def _as_vector(u) -> FockVector:

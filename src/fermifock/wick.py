@@ -365,7 +365,7 @@ def _slot_floor(derivs: Sequence[int], words) -> int:
     ms = sorted(derivs, reverse=True)
     best = 0
     for w in words:
-        levels = sorted(~n for n, _ in code_letters(w))
+        levels = sorted(~n for _, n in code_letters(w))
         run = 0
         cur = 0
         for q in range(min(len(ms), len(levels))):

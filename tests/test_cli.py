@@ -573,9 +573,9 @@ def test_cli_fuzz_keeps_the_exit_contract(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, limit",
     [
-        (["check", "--suite", "delta", "--window=-100000,100000"], "limit 4000"),
-        (["check", "--suite", "axioms", "--window=4001,4002"], "limit 4000"),
-        (["check", "--suite", "wick", "--window=-3,3,0,4001"], "limit 4000"),
+        (["check", "--suite", "delta", "--window=-100000,100000"], "limit 4351"),
+        (["check", "--suite", "axioms", "--window=4352,4353"], "limit 4351"),
+        (["check", "--suite", "wick", "--window=-3,3,0,4352"], "limit 4351"),
         (["expdelta", "e1(-1/2) f1(-34815/2) |0>"], "below 17407"),
     ],
 )

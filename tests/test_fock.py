@@ -13,6 +13,7 @@ from fermifock.fock import (
     HSpace,
     apply_mode,
     apply_modes,
+    code_letters,
     code_weight2,
     d_op,
     decode,
@@ -259,6 +260,7 @@ def test_word_code_round_trip_and_limits():
         assert decode(code) == word
         assert code_weight2(code) == weight2(word)
     assert encode(((E1, -1), (E2, -1))) != encode(((E2, -1), (E1, -1)))
+    assert code_letters(encode(((F2, -3), last))) == [(F2, 2), (CODE_GENS - 1, CODE_LEVELS - 1)]  # as letter(gen, n)
     assert letter(CODE_GENS - 1, CODE_LEVELS - 1) == encode((last,)) == chr(0x10FFC0)  # n = 17,407 would pass 0x10FFFF
     with pytest.raises(ValueError, match="limit of 64 generators"):
         encode(((CODE_GENS, -1),))
@@ -292,6 +294,10 @@ def test_lazy_vectors_compare_exactly():
     assert lazy.terms == {((E1, -1),): Fraction(3, 2), ((F1, -2), (E2, -1)): Fraction(-2)}
     assert lazy.terms is lazy.terms
     assert all(type(c) is Fraction for c in lazy.terms.values())
+    # the row stays the value: an edit of the built terms raises, not diverges
+    with pytest.raises(TypeError):
+        lazy.terms[((E1, -1),)] = Fraction(7)
+    assert lazy == eager and int_terms(lazy) == (row, 2)
     assert lazy.render(SPACE) == eager.render(SPACE) and lazy.items() == eager.items()
     # a route takes a lazy vector's own row; an eager one is encoded over its lcm
     assert int_terms(lazy) == (row, 2)
