@@ -14,7 +14,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .delta import (
     DeltaCoeffs,
@@ -24,9 +24,9 @@ from .delta import (
     exp_delta,
     exp_delta_iterated,
 )
-from .fock import CODE_LEVELS, FockVector, HSpace, Word, encode, random_state, random_word
+from .fock import CODE_LEVELS, FockVector, HSpace, Word, random_state, random_word
 from .laurent import Box, LaurentPoly
-from .scalars import format_rational, parse_rational
+from .scalars import add_term, format_rational, parse_rational
 from .straightening import K, check_confluence, defect
 from .vertex import check_axioms, check_weak_associativity
 from .wick import check_closed_forms, correlation, correlation_terms
@@ -55,10 +55,10 @@ def load_config(path: str | None) -> Tuple[HSpace, DeltaCoeffs]:
             raise UsageError(f"config M = {M} is above the limit 32")
         gram = raw.get("gram")
         if gram is not None:
-            gram = [[parse_rational(str(x)) for x in row] for row in gram]
+            gram = [[_json_rational(x, "gram entry") for x in row] for row in gram]
         space = HSpace(M, gram)
         triples = [
-            (_json_int(m, "level"), _json_int(n, "level"), parse_rational(str(val)))
+            (_json_int(m, "level"), _json_int(n, "level"), _json_rational(val, "delta coefficient"))
             for m, n, val in raw.get("delta_coeffs", [[0, 1, "1"]])
         ]
         coeffs = DeltaCoeffs.from_list(triples)
@@ -74,6 +74,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_rational(value, what: str) -> Fraction:
+    """A JSON number or string, read exactly; other JSON is refused by type."""
+    if type(value) not in (int, float, str):
+        raise UsageError(f"bad config: {what} must be a number or a string, not {json.dumps(value)}")
+    return parse_rational(str(value))
+
+
 # -- state expressions ---------------------------------------------------------
 
 def _rational(text: str) -> Fraction:
@@ -86,8 +93,9 @@ def _rational(text: str) -> Fraction:
 _TOKEN = re.compile(r"\|0>|[ef]\d+|-?\d+/\d+|-?\d+|[()*+]")
 
 
-def parse_state(space: HSpace, text: str) -> FockVector:
-    """Parse a sum of `coeff * gen(-m-1/2) ... |0>` terms."""
+def _parse_terms(space: HSpace, text: str) -> Dict[Word, Fraction]:
+    """The words of a sum of `coeff * gen(-m-1/2) ... |0>` terms, each
+    with its summed nonzero coefficient."""
     tokens = _TOKEN.findall(text)
     if "".join(tokens).replace("|0>", "") != re.sub(r"\s+", "", text).replace("|0>", ""):
         raise UsageError(f"cannot tokenize state expression {text!r}")
@@ -102,7 +110,7 @@ def parse_state(space: HSpace, text: str) -> FockVector:
         pos += 1
         return tok
 
-    out = FockVector()
+    out: Dict[Word, Fraction] = {}
     while peek() is not None:
         if peek() == "+":
             take()
@@ -133,10 +141,22 @@ def parse_state(space: HSpace, text: str) -> FockVector:
             modes.append((gen, int(n)))
         if take() != "|0>":
             raise UsageError("every term must end with |0>")
-        out = out + FockVector.word(tuple(modes), coeff)
+        add_term(out, tuple(modes), coeff)
     if pos != len(tokens):
         raise UsageError("trailing tokens in state expression")
     return out
+
+
+def parse_state(space: HSpace, text: str) -> FockVector:
+    """Parse a sum of `coeff * gen(-m-1/2) ... |0>` terms; a mode past the
+    word code (`fock.letter`) is refused, named as written."""
+    terms = _parse_terms(space, text)
+    try:
+        return FockVector(terms)
+    except ValueError as e:
+        past = [f"{space.gen_name(g)}({2 * level + 1}/2)" for w in terms for g, level in w if ~level >= CODE_LEVELS]
+        limit = f"is past the word code's limit: a mode h(-n-1/2) needs n below {CODE_LEVELS}"
+        raise UsageError(f"mode {past[0]} {limit}" if past else str(e)) from None
 
 
 def parse_insertion(space: HSpace, text: str) -> Tuple[Word, Fraction, str]:
@@ -148,10 +168,10 @@ def parse_insertion(space: HSpace, text: str) -> Tuple[Word, Fraction, str]:
     var = var.strip()
     if not re.fullmatch(r"[A-Za-z]\w*", var):
         raise UsageError(f"bad variable name {var!r}")
-    vec = parse_state(space, state_text.strip())
-    if len(vec.terms) > 1:
+    terms = _parse_terms(space, state_text.strip())
+    if len(terms) > 1:
         raise UsageError("each insertion must be a single word")
-    word, coeff = next(iter(vec.terms.items()), ((), Fraction(0)))
+    word, coeff = next(iter(terms.items()), ((), Fraction(0)))
     return word, coeff, var
 
 
@@ -389,13 +409,8 @@ def cmd_expand(args) -> int:
 def cmd_expdelta(args) -> int:
     space, coeffs = load_config(args.config)
     vec = parse_state(space, args.state)
-    if max(map(len, vec.terms), default=0) > 20:  # 2^(r-1) deleted sets, as many Pfaffian minors
+    if max(map(len, vec.row), default=0) > 20:  # 2^(r-1) deleted sets, as many Pfaffian minors
         raise UsageError("expdelta: a word is longer than the limit of 20 letters")
-    try:
-        for word in vec.terms:
-            encode(word)
-    except ValueError as e:
-        raise UsageError(f"expdelta: {e}")
     closed = exp_delta(space, coeffs, vec)
     agree = closed == exp_delta_iterated(space, coeffs, vec)
     for e in sorted(closed, reverse=True):

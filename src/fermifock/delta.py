@@ -19,7 +19,7 @@ from itertools import combinations, islice
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .fock import FockVector, HSpace, apply_mode, check_report, code_letters, int_terms, wrap_table
+from .fock import FockVector, HSpace, apply_mode, check_report, code_letters, wrap_table
 from .pfaffian import pfaffian
 from .scalars import add_into, add_term, binom, clear_denominators
 
@@ -224,7 +224,7 @@ def exp_delta(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> ExpGrid:
     """Closed-form exponential: delete 2t positions, weight by the total
     contraction number and (-1)^(sum of 1-based positions).  Values add up
     as ints over Dv * D^top (D the lcm of the word kernels' denominators)."""
-    terms, Dv = int_terms(vec)
+    terms, Dv = vec.row, vec.den
     slots = {w: code_letters(w) for w in terms}
     kernels = {w: _bracket_kernel(space, C, slots[w]) for w in terms}
     D = lcm(*(Dw for _, Dw in kernels.values()))
@@ -256,7 +256,7 @@ def _delta_powers(space: HSpace, C: DeltaCoeffs, vec: FockVector) -> Iterator[Tu
     state's letters (and (b, a) the negated bracket by antisymmetry).  The
     walk stops at the first power that vanishes, after at most half the
     longest word."""
-    terms, den = int_terms(vec)
+    terms, den = vec.row, vec.den
     letters = "".join(dict.fromkeys(ch for word in terms for ch in word))
     slots = code_letters(letters)
     kernel, D = _bracket_kernel(space, C, slots)
@@ -337,7 +337,7 @@ def check_exp_delta_neg_comm(
     """Verify the commutator of the exponential with a regular one-sided
     series: both sides as exact grids over (x, y) on the given box, per
     sample.  `nonzero` counts the cells where either side is nonzero.
-    Both sides add the rows of their vectors (`fock.int_terms`), each
+    Both sides add the rows of their vectors (`FockVector.row`), each
     scaled by 1 / its denominator, so the tables stay on ints where every
     denominator is 1."""
     (lox, hix), (loy, hiy) = intervals
@@ -348,8 +348,8 @@ def check_exp_delta_neg_comm(
 
         def add(table, ex, ey, vec, coeff):
             if lox <= ex <= hix and loy <= ey <= hiy:
-                row, den = int_terms(vec)
-                add_into(table.setdefault((ex, ey), {}), row, coeff if den == 1 else Fraction(coeff, den))
+                den = vec.den
+                add_into(table.setdefault((ex, ey), {}), vec.row, coeff if den == 1 else Fraction(coeff, den))
 
         exp_v = exp_delta(space, C, v)
         # exp(D(y)) a^(m)(x)^- v  minus  a^(m)(x)^- exp(D(y)) v

@@ -11,23 +11,24 @@ anticommutator {a(m+1/2), b(-n-1/2)} = (a, b) delta_mn.
 Weights are half-integers; they are carried around as doubled integers
 (`weight2`) so exponent arithmetic stays integral.
 
-Inside the int tables of the engines (`vertex.series_into`, the closed-form
-fold of `wick`, the pair-deletion grids of `delta`) a word is its str code:
-one character per letter, chr(1 + gen + 64 n) for the creation mode
-(gen, -n-1).  A str hashes once and concatenates without building tuples.
-The code holds generators below 64 and n below 17,407 (the last code point
-is 0x10FFFF); a letter past it is a ValueError naming the limit.  A route
-encodes a vector once (`int_terms`), and `wrap_table` hands a table back
-as vectors that keep its int rows: a vector compares exactly on its row and
-denominator, and builds its tuple words and Fractions when `terms` is first
-read.
+A vector and the int tables of the engines (`vertex.series_into`, the
+closed-form fold of `wick`, the pair-deletion grids of `delta`) key a word
+by its str code: one character per letter, chr(1 + gen + 64 n) for the
+creation mode (gen, -n-1).  A str hashes once and concatenates without
+building tuples.  The code holds generators below 64 and n below 17,407
+(the last code point is 0x10FFFF); a letter past it is a ValueError naming
+the limit.  A `FockVector` is an int row by code over one denominator: its
+constructor encodes each word once, every route reads the row, and
+`wrap_table` hands a table back as vectors that keep its rows.  The tuple
+words and Fractions of `terms` are built when it is first read.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .pfaffian import det
 from .scalars import add_into, add_term, clear_denominators, format_rational
@@ -111,13 +112,7 @@ def parity(word: Word) -> int:
 
 
 def word_str(space: HSpace, word: Word) -> str:
-    if not word:
-        return "|0>"
-    parts = []
-    for g, level in word:
-        num = 2 * level + 1
-        parts.append(f"{space.gen_name(g)}({num}/2)")
-    return " ".join(parts) + " |0>"
+    return " ".join([f"{space.gen_name(g)}({2 * level + 1}/2)" for g, level in word] + ["|0>"])
 
 
 def letter(gen: int, n: int) -> str:
@@ -154,85 +149,71 @@ def code_weight2(code: str) -> int:
 class FockVector:
     """Finite rational linear combination of words; the elements of V.
 
-    A vector from `wrap_table` is lazy: it holds an int row (str code ->
-    int) and its denominator, compares on them, and leaves the `terms` slot
-    unset until its first read, which `__getattr__` answers by building it.
-    The row stays the vector's value, so the `terms` of a lazy vector is a
-    read-only mapping: an edit raises TypeError instead of going unseen.
+    A vector holds one thing: its int row (str code -> nonzero int; exact
+    Fractions under a non-integral Gram matrix) over a positive
+    denominator, `row` and `den`.  Every route reads them and none edits
+    them.  `terms` (word -> nonzero Fraction) is a read-only view of the
+    row, built on its first read.
     """
 
-    __slots__ = ("terms", "_row", "_den")
+    __slots__ = ("row", "den", "_terms")
 
-    def __init__(self, terms: Dict[Word, Fraction] | None = None):
-        table: Dict[Word, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    table[tuple(w)] = c
-        self.terms = table
-        self._row = None
-
-    @classmethod
-    def _raw(cls, terms: Dict[Word, Fraction]) -> "FockVector":
-        """Wrap a term map that already holds only nonzero tuple keys."""
-        vec = cls.__new__(cls)
-        vec.terms = terms
-        vec._row = None
-        return vec
+    def __init__(self, terms: Mapping[Word, Fraction] | None = None):
+        """Drop the zero terms, clear the denominators and encode each word
+        once: a letter past the word code is a ValueError (`letter`)."""
+        values = {}
+        for w, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                values[encode(w)] = c
+        self.row, self.den = clear_denominators(values)
+        self._terms = None
 
     @classmethod
-    def _lazy(cls, row: Dict[str, int], den: int) -> "FockVector":
+    def _from_row(cls, row: Dict[str, int], den: int) -> "FockVector":
         """Wrap an int row without zeros, by str code, over den."""
         vec = cls.__new__(cls)
-        vec._row = row
-        vec._den = den
+        vec.row, vec.den, vec._terms = row, den, None
         return vec
 
-    def __getattr__(self, name):
-        """Build `terms` of a lazy vector (word -> nonzero Fraction, read
-        only) on its first read; every later read finds the slot set."""
-        if name != "terms":
-            raise AttributeError(name)
-        den = self._den
-        fracs: Dict[int, Fraction] = {}  # rows repeat few distinct values
-        terms = {}
-        for code, c in self._row.items():
-            f = fracs.get(c)
-            if f is None:
-                f = fracs[c] = Fraction(c, den)
-            terms[decode(code)] = f
-        self.terms = MappingProxyType(terms)
-        return self.terms
+    @property
+    def terms(self) -> Mapping[Word, Fraction]:
+        """Word -> nonzero Fraction, read only; built on the first read."""
+        if self._terms is None:
+            den = self.den
+            self._terms = MappingProxyType({decode(w): Fraction(c, den) for w, c in self.row.items()})
+        return self._terms
 
     @classmethod
     def vacuum(cls, coeff=1) -> "FockVector":
-        return cls({VACUUM: Fraction(coeff)})
+        return cls({VACUUM: coeff})
 
     @classmethod
     def word(cls, word: Word, coeff=1) -> "FockVector":
-        return cls({tuple(word): Fraction(coeff)})
+        return cls({tuple(word): coeff})
 
     def __bool__(self):
-        return bool(self.terms if self._row is None else self._row)
+        return bool(self.row)
 
     def __eq__(self, other):
-        """Exact equality; two lazy vectors compare their rows, directly
-        over one denominator and else by cross-multiplying."""
+        """Exact equality of the rows: directly over one denominator, else
+        by cross-multiplying."""
         if not isinstance(other, FockVector):
             return False
-        if not (self and other):
-            return not (self or other)
-        a, b = self._row, other._row
-        if a is None or b is None:
-            return self.terms == other.terms
-        da, db = self._den, other._den
+        a, b = self.row, other.row
+        if not (a and b):
+            return not (a or b)
+        da, db = self.den, other.den
         if da == db:
             return a == b
         return a.keys() == b.keys() and all(c * db == b[w] * da for w, c in a.items())
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        return FockVector._raw(add_into(dict(self.terms), other.terms))
+        """The sum of the rows over the lcm of the denominators."""
+        den = lcm(self.den, other.den)
+        ka = den // self.den
+        row = dict(self.row) if ka == 1 else {w: c * ka for w, c in self.row.items()}
+        return FockVector._from_row(add_into(row, other.row, den // other.den), den)
 
     def __neg__(self):
         return self.scale(-1)
@@ -242,40 +223,43 @@ class FockVector:
 
     def scale(self, value) -> "FockVector":
         value = Fraction(value)
-        return FockVector._raw({w: c * value for w, c in self.terms.items()} if value else {})
+        if not value:
+            return FockVector()
+        p = value.numerator
+        return FockVector._from_row({w: c * p for w, c in self.row.items()}, self.den * value.denominator)
+
+    def _sorted_row(self) -> List[Tuple[Word, int]]:
+        """(word, row value) in canonical order: word length first, then
+        (gen, level) lex; words are decoded only to order and name them."""
+        return sorted(((decode(w), c) for w, c in self.row.items()), key=lambda kv: (len(kv[0]), kv[0]))
 
     def items(self):
         """Terms in canonical order: word length first, then (gen, level) lex."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return [(w, Fraction(c, self.den)) for w, c in self._sorted_row()]
 
     def render(self, space: HSpace) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.items():
-            if c == 1:
-                parts.append(word_str(space, w))
-            else:
-                parts.append(f"{format_rational(c)} * {word_str(space, w)}")
-        return " + ".join(parts)
+        """' + '-joined terms in canonical order, each coefficient row / den
+        formatted straight from the row and left out where it is 1."""
+        den = self.den
+        return " + ".join(
+            word_str(space, w) if c == den else f"{format_rational(c, den)} * {word_str(space, w)}"
+            for w, c in self._sorted_row()
+        ) or "0"
 
     def __repr__(self):
-        if not self.terms:
-            return "FockVector(0)"
-        body = " + ".join(f"{c}*{w}" for w, c in self.items())
-        return f"FockVector({body})"
+        return f"FockVector({' + '.join(f'{c}*{w}' for w, c in self.items()) or 0})"
 
 
 def apply_mode(space: HSpace, mode: Mode, vec: FockVector) -> FockVector:
-    """Act with one mode on vec's row (`int_terms`): creation prepends its
-    letter; annihilation h_gen(n + 1/2) contracts each letter at level
-    -n-1/2, signed by the anticommutations passed on the way.  The result
-    is lazy, over vec's denominator."""
+    """Act with one mode on vec's row: creation prepends its letter;
+    annihilation h_gen(n + 1/2) contracts each letter at level -n-1/2,
+    signed by the anticommutations passed on the way.  The result is over
+    vec's denominator."""
     gen, level = mode
-    row, den = int_terms(vec)
+    row, den = vec.row, vec.den
     if level < 0:
         head = letter(gen, ~level)
-        return FockVector._lazy({head + w: c for w, c in row.items()}, den)
+        return FockVector._from_row({head + w: c for w, c in row.items()}, den)
     out: Dict[str, int] = {}
     for w, c in row.items():
         sign = 1
@@ -285,7 +269,7 @@ def apply_mode(space: HSpace, mode: Mode, vec: FockVector) -> FockVector:
                 if p:
                     add_term(out, w[:idx] + w[idx + 1 :], sign * p * c)
             sign = -sign
-    return FockVector._lazy(out, den)
+    return FockVector._from_row(out, den)
 
 
 def apply_modes(space: HSpace, modes: Sequence[Mode], vec: FockVector) -> FockVector:
@@ -298,8 +282,8 @@ def apply_modes(space: HSpace, modes: Sequence[Mode], vec: FockVector) -> FockVe
 
 
 def theta(vec: FockVector) -> FockVector:
-    """Parity involution: odd-length words flip sign."""
-    return FockVector({w: -c if parity(w) else c for w, c in vec.terms.items()})
+    """Parity involution: odd-length words (and codes) flip sign."""
+    return FockVector._from_row({w: -c if parity(w) else c for w, c in vec.row.items()}, vec.den)
 
 
 def d_terms(terms: Dict[str, int]) -> Dict[str, int]:
@@ -314,29 +298,19 @@ def d_terms(terms: Dict[str, int]) -> Dict[str, int]:
 
 def d_op(vec: FockVector) -> FockVector:
     """Translation generator on a vector (see `d_terms`)."""
-    row, D = int_terms(vec)
-    return FockVector._lazy(d_terms(row), D)
+    return FockVector._from_row(d_terms(vec.row), vec.den)
 
 
 def grading_op(vec: FockVector) -> FockVector:
-    """Scale each word by its weight."""
-    return FockVector({w: c * Fraction(weight2(w), 2) for w, c in vec.terms.items()})
-
-
-def int_terms(vec: FockVector) -> Tuple[Dict[str, int], int]:
-    """(row, D): the terms of vec by str code, each value row[code] / D.  A
-    lazy vector gives its own row; any other is put over its least common
-    denominator and encoded."""
-    if vec._row is not None:
-        return vec._row, vec._den
-    ints, D = clear_denominators(vec.terms)
-    return {encode(w): c for w, c in ints.items()}, D
+    """Scale each word by its weight, `code_weight2` over 2."""
+    return FockVector._from_row({w: c * code_weight2(w) for w, c in vec.row.items() if w}, 2 * vec.den)
 
 
 def wrap_table(table: Dict, D: int) -> Dict:
-    """Lazy FockVectors of an accumulated table (cell -> int row by str
-    code) over the common denominator D; empty rows are left out."""
-    return {cell: FockVector._lazy(row, D) for cell, row in table.items() if row}
+    """FockVectors of an accumulated table (cell -> int row by str code)
+    over the common denominator D, each keeping its row; empty rows are
+    left out."""
+    return {cell: FockVector._from_row(row, D) for cell, row in table.items() if row}
 
 
 def check_report(identity: str, mismatches: Sequence, compared: int, nonzero: int, **extra) -> dict:

@@ -17,8 +17,9 @@ add into a row in place, dropping every key whose sum cancels.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Dict, Hashable, Mapping, Tuple
 
 
@@ -35,27 +36,36 @@ def binom(n: int, m: int) -> int:
     return (-1) ** m * comb(m - n - 1, m)
 
 
+_EXPONENT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)e[-+]?\d+", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational exactly: 'p', 'p/q' or a plain decimal such as
-    '1.5' (read as an exact decimal, never as a float).  Exponent notation
-    such as '1e3' is refused, since '1e-99999999' alone would build a
-    hundred-million-digit denominator; a zero denominator is a ValueError,
-    like any other malformed text."""
+    '1.5' (read as an exact decimal, never as a float).  No text with an
+    'e' reaches `Fraction`: exponent notation such as '1e3' is refused,
+    since '1e-99999999' alone would build a hundred-million-digit
+    denominator.  A zero denominator is a ValueError, like any other
+    malformed text."""
     text = text.strip()
     if "e" in text.lower():
-        raise ValueError(f"exponent notation in {text!r}: write p, p/q or a plain decimal")
+        what = "exponent notation in" if _EXPONENT.fullmatch(text) else "no rational in"
+        raise ValueError(f"{what} {text!r}: write p, p/q or a plain decimal")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def format_rational(value: Fraction | int) -> str:
-    """Canonical text for a rational: 'p' or 'p/q' with q > 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: Fraction | int, den: int = 1) -> str:
+    """Canonical text for the rational value / den, den >= 1: 'p' or 'p/q'
+    with q > 1.  An int value is reduced by one gcd, with no Fraction."""
+    if type(value) is int:
+        g = gcd(value, den)
+        p, q = value // g, den // g
+    else:
+        value = Fraction(value, den)
+        p, q = value.numerator, value.denominator
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def clear_denominators(values: Mapping) -> Tuple[Dict, int]:

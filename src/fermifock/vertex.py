@@ -15,7 +15,7 @@ from operator import gt, le
 from typing import Dict, List, Sequence, Tuple
 
 from .fock import FockVector, HSpace, Mode, Word, check_report, code_letters, code_weight2, d_terms, encode
-from .fock import int_terms, letter, wrap_table
+from .fock import letter, wrap_table
 from .laurent import Box
 from .scalars import add_into, binom
 
@@ -59,12 +59,12 @@ def series_into(
     exponent slot per variable) are complete on the given closed intervals.
 
     Words are str codes (`fock.encode`), in the target and in the table.
-    Integer contract: the target is an integer term map (see
-    `fock.int_terms`) and every scale an int.  Path coefficients are
+    Integer contract: the target is an integer term map (the `row` of a
+    `FockVector`) and every scale an int.  Path coefficients are
     products of binomials, signs and pairings, so the table accumulates
     plain ints; a non-integral Gram matrix makes them exact Fractions on the
     same path.  The caller hands the table to `fock.wrap_table`, whose
-    vectors divide by its common denominator when they are read.
+    vectors keep its rows over the common denominator.
 
     Each (source, target word) walks the source's factors from right to
     left.  At each factor a partial state either puts the factor in front
@@ -246,10 +246,9 @@ def ordered_factor_series(
     """Windowed grid of a normal-ordered factor product applied to vec: the
     engine on one factor list, which tests compare with a mode-by-mode
     oracle."""
-    terms, D = int_terms(vec)
     table: Dict[Cell, Dict[str, int]] = {}
-    series_into(space, ((factors, 1),), terms, intervals, table)
-    return wrap_table(table, D)
+    series_into(space, ((factors, 1),), vec.row, intervals, table)
+    return wrap_table(table, vec.den)
 
 
 class WindowedSeries:
@@ -285,16 +284,16 @@ def _sources(u_terms: Dict[str, int]) -> List[Tuple[Tuple[Factor, ...], int]]:
     return [(tuple((g, n, 0) for g, n in code_letters(word)), c) for word, c in u_terms.items()]
 
 
-def _as_vector(u) -> FockVector:
+def _row(u) -> Tuple[Dict[str, int], int]:
+    """(row, den) of a vector, or of a bare word with coefficient 1."""
     if isinstance(u, FockVector):
-        return u
-    return FockVector.word(tuple(u))
+        return u.row, u.den
+    return {encode(u): 1}, 1
 
 
 def y_series(space: HSpace, u, v, lo: int, hi: int, var: str = "x") -> WindowedSeries:
     """Windowed coefficients of the vertex operator of u acting on v."""
-    u_terms, Du = int_terms(_as_vector(u))
-    v_terms, Dv = int_terms(_as_vector(v))
+    (u_terms, Du), (v_terms, Dv) = _row(u), _row(v)
     table: Dict[Cell, Dict[str, int]] = {}
     series_into(space, _sources(u_terms), v_terms, ((lo, hi),), table)
     return WindowedSeries(Box((var,), ((lo, hi),)), wrap_table(table, Du * Dv))
@@ -307,7 +306,7 @@ def y_coeff(space: HSpace, u, k: int, v) -> FockVector:
 
 def product_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
     """Coefficients of x^k1 y^k2 in the two-operator product acting on v."""
-    (t1, D1), (t2, D2), (tv, Dv) = (int_terms(_as_vector(s)) for s in (u1, u2, v))
+    (t1, D1), (t2, D2), (tv, Dv) = map(_row, (u1, u2, v))
     outer, inner = box.intervals
     grid = _product_grid(space, t1, t2, tv, inner, lambda k2: outer)
     return WindowedSeries(box, wrap_table(grid, D1 * D2 * Dv))
@@ -315,7 +314,7 @@ def product_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
 
 def iterate_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:
     """Coefficients of x0^k1 x2^k2 of the iterated vertex operator on v."""
-    (t1, D1), (t2, D2), (tv, Dv) = (int_terms(_as_vector(s)) for s in (u1, u2, v))
+    (t1, D1), (t2, D2), (tv, Dv) = map(_row, (u1, u2, v))
     inner, outer = box.intervals
     grid = _iterate_grid(space, t1, t2, tv, inner, lambda k1: outer)
     return WindowedSeries(box, wrap_table(grid, D1 * D2 * Dv))
@@ -374,7 +373,7 @@ def check_weak_associativity(space: HSpace, u1_word: Word, u2, w, box: Box) -> d
     is nonempty.  Every window cell is compared; `nonzero` counts those with
     a nonzero side.
     """
-    (u2_terms, _), (w_terms, _) = (int_terms(_as_vector(s)) for s in (u2, w))
+    (u2_terms, _), (w_terms, _) = _row(u2), _row(w)
     u1 = {encode(u1_word): 1}
     r = len(u1_word)
     msum = sum(-level - 1 for _, level in u1_word)
@@ -437,7 +436,7 @@ def check_axioms(space: HSpace, samples: Sequence[FockVector], lo: int, hi: int)
     `regular_at_zero` and `lower_truncation` claim that a coefficient
     vanishes, so every cell they read counts.
     """
-    ints = [int_terms(s)[0] for s in samples]
+    ints = [s.row for s in samples]
     pairs = [(ints[i], ints[(i + 1) % len(ints)]) for i in range(len(ints))]
     window = range(lo, hi + 1)
 

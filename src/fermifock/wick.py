@@ -37,7 +37,7 @@ from math import inf, lcm
 from operator import add
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .fock import FockVector, HSpace, Word, check_report, code_letters, int_terms, wrap_table
+from .fock import FockVector, HSpace, Word, check_report, code_letters, wrap_table
 from .laurent import Box, LaurentPoly
 from .pfaffian import det, pfaffian
 from .ratfun import RationalFunction, deferred_pfaffian, expand_terms, f_mn, region_cells
@@ -403,12 +403,12 @@ def noexpr_apply(
     Every coefficient of the expression and of v is brought over one common
     denominator D, so the grid fold accumulates integers (exact Fractions
     under a non-integral Gram matrix) on the str codes of words, and the
-    lazy vectors of `fock.wrap_table` divide by D when they are read.
+    vectors of `fock.wrap_table` keep those rows over D.
     """
     order_index = {name: i for i, name in enumerate(order)}
     los = [lo for lo, _ in intervals]
     his = [hi for _, hi in intervals]
-    v_terms, D = int_terms(v)
+    v_terms, D = v.row, v.den
     Dc = lcm(*(rf.int_den for rf, _ in expr.terms))
     acc: Dict[Cell, Dict[str, int]] = {}
     for coeff_rf, factors in expr.terms:

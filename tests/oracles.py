@@ -1,8 +1,9 @@
 """Slow routes that only tests read, kept as oracles for the library."""
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from typing import List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from fermifock.vertex import _shuffle_sign
 
@@ -28,3 +29,52 @@ def enumerate_shuffles(r: int, eta: int) -> List[Shuffle]:
         right = tuple(p for p in universe if p not in left)
         out.append(Shuffle(left, right, _shuffle_sign(left)))
     return out
+
+
+# A state as a plain term map, tuple word -> nonzero Fraction, with its
+# operations done in Fractions word by word: the reference for the int-row
+# operations of `FockVector`.
+Terms = Dict[Tuple[Tuple[int, int], ...], Fraction]
+
+
+def terms_add(a: Terms, b: Terms, k=1) -> Terms:
+    """a + k b, without the words whose sum cancels."""
+    out = dict(a)
+    for w, c in b.items():
+        s = out.get(w, 0) + k * c
+        if s:
+            out[w] = s
+        else:
+            out.pop(w, None)
+    return out
+
+
+def terms_scale(a: Terms, x) -> Terms:
+    x = Fraction(x)
+    return {w: c * x for w, c in a.items()} if x else {}
+
+
+def terms_theta(a: Terms) -> Terms:
+    """Odd-length words flip sign."""
+    return {w: -c if len(w) % 2 else c for w, c in a.items()}
+
+
+def terms_grading(a: Terms) -> Terms:
+    """Each word scaled by its weight, the sum of -level - 1/2."""
+    out = {w: c * sum(Fraction(-2 * level - 1, 2) for _, level in w) for w, c in a.items()}
+    return {w: c for w, c in out.items() if c}
+
+
+def terms_items(a: Terms) -> List[Tuple[Tuple[Tuple[int, int], ...], Fraction]]:
+    """Word length first, then (gen, level) lex."""
+    return sorted(a.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def terms_render(space, a: Terms) -> str:
+    """' + '-joined `coeff * gen((2 level + 1)/2) ... |0>` terms in the
+    order of `terms_items`, the coefficient left out where it is 1."""
+
+    def word(w):
+        return " ".join([f"{space.gen_name(g)}({2 * level + 1}/2)" for g, level in w] + ["|0>"])
+
+    return " + ".join(word(w) if c == 1 else f"{c} * {word(w)}" for w, c in terms_items(a)) or "0"

@@ -455,6 +455,16 @@ def test_cli_check_far_windows_keep_the_exit_contract(suite, window):
         ('{"M": 1, "delta_coeffs": [[false, 1, "1"]]}', "level must be an integer, not false"),
         # an exponent would build a hundred-million-digit denominator
         ('{"M": 1, "gram": [["1e-99999999", 1], [1, 0]]}', "bad config: exponent notation"),
+        ('{"M": 1, "delta_coeffs": [[0, 1, "2.5E3"]]}', "bad config: exponent notation in '2.5E3'"),
+        # rationals are JSON numbers or strings: other JSON is refused by its
+        # type, and text that is no number is not given the exponent message
+        ('{"M": 1, "gram": [[true, 1], [1, 0]]}', "gram entry must be a number or a string, not true"),
+        ('{"M": 1, "gram": [[null, 1], [1, 0]]}', "gram entry must be a number or a string, not null"),
+        ('{"M": 1, "gram": [[[0], 1], [1, 0]]}', "gram entry must be a number or a string, not [0]"),
+        ('{"M": 1, "gram": [["one", 1], [1, 0]]}', "bad config: no rational in 'one'"),
+        ('{"M": 1, "delta_coeffs": [[0, 1, false]]}', "delta coefficient must be a number or a string, not false"),
+        ('{"M": 1, "delta_coeffs": [[0, 1, {"p": 1}]]}', 'delta coefficient must be a number or a string, not {"p": 1}'),
+        ('{"M": 1, "delta_coeffs": [[0, 1, "three"]]}', "bad config: no rational in 'three'"),
     ],
 )
 def test_cli_config_integers_are_validated(config, phrase, tmp_path, capsys):
@@ -587,3 +597,16 @@ def test_cli_refuses_letters_past_the_word_code(argv, limit):
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 2 and proc.stdout == "", proc
     assert proc.stderr.startswith("error:") and limit in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_names_a_mode_past_the_word_code_as_written(capsys):
+    """The refusal of a state names the mode in the input's notation and the
+    code's limit, not the library's internal level."""
+    assert main(["--json", "expdelta", "f1(-1/2) e1(-40001/2) |0> + 2 * |0>"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "error: mode e1(-40001/2) is past the word code's limit: a mode h(-n-1/2) needs n below 17407\n"
+    )
+    # a zero multiple of such a word is the zero state, and no letter is encoded
+    assert main(["--json", "expdelta", "0 * e1(-40001/2) |0>"]) == 0
+    assert capsys.readouterr().out == '{"closed_matches_iterative": true}\n'

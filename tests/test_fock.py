@@ -19,7 +19,6 @@ from fermifock.fock import (
     decode,
     encode,
     grading_op,
-    int_terms,
     letter,
     parity,
     random_state,
@@ -31,6 +30,8 @@ from fermifock.fock import (
 )
 from fermifock.laurent import Box
 from fermifock.pfaffian import det
+
+from oracles import terms_add, terms_grading, terms_items, terms_render, terms_scale, terms_theta
 
 SPACE = HSpace(2)
 E1, E2, F1, F2 = 0, 1, 2, 3
@@ -273,36 +274,91 @@ def test_word_code_round_trip_and_limits():
         vertex.y_series(SPACE, FockVector.word(((E1, -1),)), FockVector.vacuum(), CODE_LEVELS, CODE_LEVELS)
 
 
-def test_lazy_vectors_compare_exactly():
-    """Lazy vectors compare their rows: directly over one denominator, by
-    cross-multiplying over two; against an eager vector through `terms`."""
+def test_vectors_compare_exactly_on_their_rows():
+    """A vector is one int row by word code over a denominator: rows compare
+    directly over one denominator and by cross-multiplying over two; the
+    constructor clears the denominators of its terms to their lcm."""
     row = {encode(((E1, -1),)): 3, encode(((F1, -2), (E2, -1))): -4}
-    half = FockVector._lazy(row, 2)
-    assert half == FockVector._lazy({w: 2 * c for w, c in row.items()}, 4)
-    assert half == FockVector._lazy(dict(row), 2)
-    assert half != FockVector._lazy({w: 2 * c for w, c in row.items()}, 2)
-    assert half != FockVector._lazy({encode(((E1, -1),)): 6}, 4)  # a word fewer
-    assert half != FockVector._lazy({encode(((E1, -1),)): 6, encode(((F1, -2),)): -8}, 4)  # another word
-    eager = FockVector({((E1, -1),): Fraction(3, 2), ((F1, -2), (E2, -1)): -2})
-    assert eager == FockVector._lazy(row, 2) and FockVector._lazy(row, 2) == eager
-    assert eager != FockVector._lazy(row, 3)
-    empty = FockVector._lazy({}, 5)
+    half = FockVector._from_row(row, 2)
+    assert half == FockVector._from_row({w: 2 * c for w, c in row.items()}, 4)
+    assert half == FockVector._from_row(dict(row), 2)
+    assert half != FockVector._from_row({w: 2 * c for w, c in row.items()}, 2)
+    assert half != FockVector._from_row({encode(((E1, -1),)): 6}, 4)  # a word fewer
+    assert half != FockVector._from_row({encode(((E1, -1),)): 6, encode(((F1, -2),)): -8}, 4)  # another word
+    built = FockVector({((E1, -1),): Fraction(3, 2), ((F1, -2), (E2, -1)): -2, ((E2, -1),): 0})
+    assert (built.row, built.den) == (row, 2)
+    assert built == half and half == built and built != FockVector._from_row(row, 3)
+    empty = FockVector._from_row({}, 5)
     assert not empty and empty == FockVector() and FockVector() == empty
+    assert not FockVector({((E1, -1),): 0}) and (FockVector().row, FockVector().den) == ({}, 1)
     assert half != FockVector() and FockVector() != half and empty != half
     # terms are built once, as tuple words and Fractions, and left alone after
-    lazy = FockVector._lazy(row, 2)
-    assert lazy.terms == {((E1, -1),): Fraction(3, 2), ((F1, -2), (E2, -1)): Fraction(-2)}
-    assert lazy.terms is lazy.terms
-    assert all(type(c) is Fraction for c in lazy.terms.values())
-    # the row stays the value: an edit of the built terms raises, not diverges
+    assert half.terms == {((E1, -1),): Fraction(3, 2), ((F1, -2), (E2, -1)): Fraction(-2)}
+    assert half.terms is half.terms
+    assert all(type(c) is Fraction for c in half.terms.values())
+    # the row is the value: an edit of the built terms raises
     with pytest.raises(TypeError):
-        lazy.terms[((E1, -1),)] = Fraction(7)
-    assert lazy == eager and int_terms(lazy) == (row, 2)
-    assert lazy.render(SPACE) == eager.render(SPACE) and lazy.items() == eager.items()
-    # a route takes a lazy vector's own row; an eager one is encoded over its lcm
-    assert int_terms(lazy) == (row, 2)
-    assert int_terms(eager) == (row, 2)
-    assert int_terms(FockVector()) == ({}, 1)
+        half.terms[((E1, -1),)] = Fraction(7)
+    assert half == built and half.render(SPACE) == built.render(SPACE) and half.items() == built.items()
+
+
+def test_construction_refuses_letters_past_the_word_code():
+    """The constructor encodes each word once, so a level >= 0, a generator
+    >= 64 or n = -level - 1 >= 17,407 is a ValueError naming the limit."""
+    for word, phrase in (
+        (((E1, 0),), "not a creation level"),
+        (((E1, -1), (F1, 3)), "not a creation level"),
+        (((CODE_GENS, -1),), "limit of 64 generators"),
+        (((E1, -1), (E1, -CODE_LEVELS - 1)), "must be below 17407"),
+    ):
+        with pytest.raises(ValueError, match=phrase):
+            FockVector.word(word)
+        with pytest.raises(ValueError, match=phrase):
+            FockVector({(): 1, word: Fraction(1, 3)})
+    assert FockVector.word(((CODE_GENS - 1, -CODE_LEVELS),))  # the last letter of the code
+
+
+def _seeded_terms(rng, nterms):
+    """A term map of seeded words with coefficients over different
+    denominators, zeros among them."""
+    terms = {}
+    for _ in range(nterms):
+        terms[random_word(rng, SPACE, 6)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6, 9)))
+    return terms
+
+
+def test_vector_operations_match_the_fraction_oracle():
+    """+, -, scale, theta, grading_op, items and render on the int rows
+    against the tuple-word / Fraction term maps of `tests/oracles.py`, on
+    seeded states over different denominators, with zero coefficients and
+    sums that cancel."""
+    rng = random.Random(3030)
+
+    def same(vec, want):
+        nonzero = {w: c for w, c in want.items() if c}
+        assert vec.terms == nonzero and all(type(c) is Fraction for c in vec.terms.values())
+        assert vec.items() == terms_items(nonzero)
+        assert vec.render(SPACE) == terms_render(SPACE, nonzero)
+        assert bool(vec) == bool(nonzero) and vec == FockVector(nonzero)
+
+    cancelled = 0
+    for _ in range(60):
+        ta, tb = _seeded_terms(rng, rng.randint(0, 4)), _seeded_terms(rng, rng.randint(0, 4))
+        # b shares words with a, and some of them cancel in a + b
+        for w in rng.sample(sorted(ta), min(len(ta), 2)):
+            tb[w] = -ta[w] if rng.random() < 0.5 else Fraction(rng.randint(-3, 3), rng.choice((1, 5)))
+        a, b = FockVector(ta), FockVector(tb)
+        same(a, ta)
+        same(a + b, terms_add(ta, tb))
+        same(a - b, terms_add(ta, tb, -1))
+        same(a - a, {})
+        same(-a, terms_scale(ta, -1))
+        x = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        same(a.scale(x), terms_scale(ta, x))
+        same(theta(a + b), terms_theta(terms_add(ta, tb)))
+        same(grading_op(a.scale(x) + b), terms_grading(terms_add(terms_scale(ta, x), tb)))
+        cancelled += any(c and ta.get(w) == -c for w, c in tb.items())
+    assert cancelled > 10
 
 
 def _eager_wrap(table, D):
