@@ -33,9 +33,7 @@ from .vertex import (
     check_axioms,
     check_weak_associativity,
     iterate_series,
-    normal_order_modes,
     product_series,
-    y_coeff,
     y_series,
 )
 from .wick import (

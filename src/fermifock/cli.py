@@ -55,11 +55,19 @@ def load_config(path: str | None) -> Tuple[HSpace, DeltaCoeffs]:
             raise UsageError(f"config M = {M} is above the limit 32")
         gram = raw.get("gram")
         if gram is not None:
-            gram = [[_json_rational(x, "gram entry") for x in row] for row in gram]
+            shape = "a list of rows, each a list of numbers"
+            gram = [
+                [_json_rational(x, "gram entry") for x in _json_list(row, "gram", shape)]
+                for row in _json_list(gram, "gram", shape)
+            ]
         space = HSpace(M, gram)
+        shape = "a list of [m, n, value] triples"
         triples = [
             (_json_int(m, "level"), _json_int(n, "level"), _json_rational(val, "delta coefficient"))
-            for m, n, val in raw.get("delta_coeffs", [[0, 1, "1"]])
+            for m, n, val in (
+                _json_list(t, "delta_coeffs", shape, 3)
+                for t in _json_list(raw.get("delta_coeffs", [[0, 1, "1"]]), "delta_coeffs", shape)
+            )
         ]
         coeffs = DeltaCoeffs.from_list(triples)
     except (KeyError, ValueError, TypeError) as e:
@@ -71,6 +79,14 @@ def _json_int(value, what: str) -> int:
     """A JSON integer: bools and floats are refused, not truncated."""
     if type(value) is not int:
         raise UsageError(f"bad config: {what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def _json_list(value, what: str, shape: str, length: int | None = None) -> list:
+    """A JSON array, of `length` items when given; the refusal names the
+    config key and the shape it expects."""
+    if type(value) is not list or length is not None and len(value) != length:
+        raise UsageError(f"bad config: {what} must be {shape}; found {json.dumps(value)}")
     return value
 
 
@@ -382,8 +398,9 @@ def cmd_correlate(args) -> int:
     except ValueError as e:  # exponents beyond a packed numerator field
         raise UsageError(str(e))
     print(json.dumps({"correlation": rf.render()}))
-    if not args.json:
-        print(rf.render(), file=sys.stderr)
+    if not args.json:  # a summary: the normal form itself can run to megabytes
+        factors = len(rf.den_pow) + len(rf.den_diff)
+        print(f"{len(rf.int_num)} numerator terms over {factors} denominator factors", file=sys.stderr)
     return 0
 
 

@@ -14,7 +14,7 @@ from collections import defaultdict
 from operator import gt, le
 from typing import Dict, List, Sequence, Tuple
 
-from .fock import FockVector, HSpace, Mode, Word, check_report, code_letters, code_weight2, d_terms, encode
+from .fock import FockVector, HSpace, Word, check_report, code_letters, code_weight2, d_terms, encode
 from .fock import letter, wrap_table
 from .laurent import Box
 from .scalars import add_into, binom
@@ -23,25 +23,6 @@ Cell = Tuple[int, ...]
 
 # a factor is (generator, divided-derivative order, variable slot)
 Factor = Tuple[int, int, int]
-
-
-def _shuffle_sign(left_positions: Sequence[int]) -> int:
-    """Permutation parity of the shuffle with 1-based left block positions."""
-    inv = sum(p - t for t, p in enumerate(left_positions, start=1))
-    return -1 if inv & 1 else 1
-
-
-def normal_order_modes(modes: Sequence[Mode]) -> Tuple[int, Tuple[Mode, ...]]:
-    """Stable split of a mode product: negative levels left, sign attached.
-
-    The sign is the parity of the unique 2-shuffle realizing the split;
-    internal orders on each side are preserved.
-    """
-    neg_positions = [i + 1 for i, m in enumerate(modes) if m[1] < 0]
-    sign = _shuffle_sign(neg_positions)
-    neg = tuple(m for m in modes if m[1] < 0)
-    pos = tuple(m for m in modes if m[1] >= 0)
-    return sign, neg + pos
 
 
 def series_into(
@@ -77,12 +58,17 @@ def series_into(
     left is a partial state: the creation suffix, the modes built so far,
     the rest of the target word, and the exponents charged so far.  The
     creation stage is one layered frontier of such states, from the longest
-    remaining suffix down; equal partial states of different sources,
-    words or splits are summed before they are expanded further, so words
-    that share their tails are walked once.  Each suffix node keeps, for
-    this call only, its list of (letter, C(n, m)) by exponent, so no leaf
-    computes a binomial or encodes a letter.  The last creation writes
-    straight into the table.
+    remaining suffix down.  A layer is keyed by (suffix, rest of the word,
+    exponents) alone, and each key holds a prefix row {modes built so far:
+    coefficient}: equal partial states of different sources, words or
+    splits sum in one entry, so words that share their tails are walked
+    once, and states that differ only in their prefix form one group.  A
+    group is expanded once: its budget, window checks and mode list serve
+    every prefix, and each exponent runs one loop over the prefixes, into
+    the row of the next layer or, at the last creation, straight into the
+    table; a prefix whose sum cancels is dropped.  Each suffix node keeps,
+    for this call only, its list of (letter, C(n, m)) by exponent, so no
+    leaf computes a binomial or encodes a letter.
 
     Termination: annihilation modes must contract against creation modes
     already present in the target, which pins their levels; creation levels
@@ -99,9 +85,9 @@ def series_into(
     # the empty suffix
     node_ids: Dict[tuple, int] = {}
     nodes: List[tuple] = [()]
-    # layers[L]: (suffix id, built prefix, rest of the target word, exps) ->
-    # coefficient, for the partial states with L creations left
-    layers: List[Dict[tuple, int]] = [{}]
+    # layers[L]: (suffix id, rest of the target word, exps) -> prefix row
+    # {built prefix: coefficient}, for the partial states with L creations left
+    layers: List[Dict[tuple, Dict[str, int]]] = [{}]
     zero = (0,) * nv
 
     for factors, scale in sources:
@@ -177,9 +163,12 @@ def series_into(
                 if any(map(gt, exps, his)):
                     continue
                 if ncre:
-                    layer = layers[ncre]
-                    key = (sid, "", w, exps)
-                    layer[key] = layer.get(key, 0) + c
+                    prow = layers[ncre].setdefault((sid, w, exps), {})
+                    s = prow.get("", 0) + c
+                    if s:
+                        prow[""] = s
+                    else:
+                        prow.pop("", None)
                 elif all(map(le, los, exps)):
                     # inline, not scalars.add_term: the engine's hottest writes
                     row = table.setdefault(exps, {})
@@ -193,8 +182,8 @@ def series_into(
     # modes[e] of a node is the letter (gen, -n-1) and C(n, m), grown on demand
     for left in range(len(layers) - 1, 0, -1):
         below = layers[left - 1]
-        for (sid, prefix, w, exps), c in layers[left].items():
-            if not c:
+        for (sid, w, exps), prow in layers[left].items():
+            if not prow:
                 continue
             gen, m, slots, s0, rest, modes = nodes[sid]
             start = 0
@@ -212,8 +201,6 @@ def series_into(
                 modes.append((letter(gen, e + m), binom(e + m, m)))
             for e in range(start, budget + 1):
                 mode, b = modes[e]
-                cc = c * b
-                built = prefix + mode
                 if s0 is None:
                     es = list(exps)
                     for s in slots:
@@ -223,32 +210,19 @@ def series_into(
                         continue
                 else:
                     e2 = head + (x + e,) + tail
+                # one tight loop over the group's prefixes; inline, not
+                # scalars.add_into, since the keys grow by the new letter
                 if left > 1:
-                    key = (rest, built, w, e2)
-                    below[key] = below.get(key, 0) + cc
+                    row, after = below.setdefault((rest, w, e2), {}), mode
                 else:
-                    # inline, not scalars.add_term: the engine's hottest writes
-                    row = table.setdefault(e2, {})
-                    word = built + w
-                    s = row.get(word, 0) + cc
+                    row, after = table.setdefault(e2, {}), mode + w
+                for prefix, c in prow.items():
+                    word = prefix + after
+                    s = row.get(word, 0) + c * b
                     if s:
                         row[word] = s
                     else:
                         row.pop(word, None)
-
-
-def ordered_factor_series(
-    space: HSpace,
-    factors: Sequence[Factor],
-    vec: FockVector,
-    intervals: Sequence[Tuple[int, int]],
-) -> Dict[Cell, FockVector]:
-    """Windowed grid of a normal-ordered factor product applied to vec: the
-    engine on one factor list, which tests compare with a mode-by-mode
-    oracle."""
-    table: Dict[Cell, Dict[str, int]] = {}
-    series_into(space, ((factors, 1),), vec.row, intervals, table)
-    return wrap_table(table, vec.den)
 
 
 class WindowedSeries:
@@ -297,11 +271,6 @@ def y_series(space: HSpace, u, v, lo: int, hi: int, var: str = "x") -> WindowedS
     table: Dict[Cell, Dict[str, int]] = {}
     series_into(space, _sources(u_terms), v_terms, ((lo, hi),), table)
     return WindowedSeries(Box((var,), ((lo, hi),)), wrap_table(table, Du * Dv))
-
-
-def y_coeff(space: HSpace, u, k: int, v) -> FockVector:
-    """The exact coefficient of x^k in the vertex operator of u acting on v."""
-    return y_series(space, u, v, k, k).coefficient((k,))
 
 
 def product_series(space: HSpace, u1, u2, v, box: Box) -> WindowedSeries:

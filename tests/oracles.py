@@ -3,9 +3,48 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from fermifock.vertex import _shuffle_sign
+from fermifock.fock import FockVector, HSpace, Mode, wrap_table
+from fermifock.vertex import Cell, Factor, series_into, y_series
+
+
+def _shuffle_sign(left_positions: Sequence[int]) -> int:
+    """Permutation parity of the shuffle with 1-based left block positions."""
+    inv = sum(p - t for t, p in enumerate(left_positions, start=1))
+    return -1 if inv & 1 else 1
+
+
+def normal_order_modes(modes: Sequence[Mode]) -> Tuple[int, Tuple[Mode, ...]]:
+    """Stable split of a mode product: negative levels left, sign attached.
+
+    The sign is the parity of the unique 2-shuffle realizing the split;
+    internal orders on each side are preserved.
+    """
+    neg_positions = [i + 1 for i, m in enumerate(modes) if m[1] < 0]
+    sign = _shuffle_sign(neg_positions)
+    neg = tuple(m for m in modes if m[1] < 0)
+    pos = tuple(m for m in modes if m[1] >= 0)
+    return sign, neg + pos
+
+
+def ordered_factor_series(
+    space: HSpace,
+    factors: Sequence[Factor],
+    vec: FockVector,
+    intervals: Sequence[Tuple[int, int]],
+) -> Dict[Cell, FockVector]:
+    """Windowed grid of a normal-ordered factor product applied to vec: the
+    engine on one factor list, which tests compare with a mode-by-mode
+    oracle."""
+    table: Dict[Cell, Dict[str, int]] = {}
+    series_into(space, ((factors, 1),), vec.row, intervals, table)
+    return wrap_table(table, vec.den)
+
+
+def y_coeff(space: HSpace, u, k: int, v) -> FockVector:
+    """The exact coefficient of x^k in the vertex operator of u acting on v."""
+    return y_series(space, u, v, k, k).coefficient((k,))
 
 
 class Shuffle(NamedTuple):
@@ -18,7 +57,7 @@ class Shuffle(NamedTuple):
 
 def enumerate_shuffles(r: int, eta: int) -> List[Shuffle]:
     """All C(r, eta) 2-shuffles splitting {1..r} into blocks of size eta,
-    r - eta, each signed by `vertex._shuffle_sign`, the closed form that
+    r - eta, each signed by `_shuffle_sign`, the closed form that
     `normal_order_modes` uses; the tests check it against the walk rule of
     `series_into`."""
     if not 0 <= eta <= r:

@@ -76,6 +76,17 @@ def test_cli_correlate_pair():
     assert record["correlation"] == "(1) / (z1 - z2)"
 
 
+def test_cli_correlate_summary_is_one_stderr_line(capsys):
+    """Without --json, stderr carries a one-line summary, not the normal
+    form a second time."""
+    texts = [f"{'ef'[i % 2]}1(-1/2) |0> @ z{i + 1}" for i in range(6)]
+    assert main(["correlate", *texts]) == 0
+    out = capsys.readouterr()
+    json.loads(out.out)
+    rf = correlation(HSpace(2), [(((i % 2 * 2, -1),), f"z{i + 1}") for i in range(6)])
+    assert out.err == f"{len(rf.int_num)} numerator terms over 9 denominator factors\n", out.err
+
+
 def test_cli_correlate_odd_and_single():
     proc = run_cli(["correlate", "e1(-1/2) |0> @ z1"])
     assert proc.returncode == 0
@@ -465,6 +476,15 @@ def test_cli_check_far_windows_keep_the_exit_contract(suite, window):
         ('{"M": 1, "delta_coeffs": [[0, 1, false]]}', "delta coefficient must be a number or a string, not false"),
         ('{"M": 1, "delta_coeffs": [[0, 1, {"p": 1}]]}', 'delta coefficient must be a number or a string, not {"p": 1}'),
         ('{"M": 1, "delta_coeffs": [[0, 1, "three"]]}', "bad config: no rational in 'three'"),
+        # a malformed shape is refused naming the key and the shape it expects
+        ('{"M": 1, "gram": 5}', "bad config: gram must be a list of rows, each a list of numbers; found 5"),
+        ('{"M": 1, "gram": [1, 2]}', "bad config: gram must be a list of rows, each a list of numbers; found 1"),
+        ('{"M": 1, "delta_coeffs": 5}', "bad config: delta_coeffs must be a list of [m, n, value] triples; found 5"),
+        ('{"M": 1, "delta_coeffs": [7]}', "bad config: delta_coeffs must be a list of [m, n, value] triples; found 7"),
+        (
+            '{"M": 1, "delta_coeffs": [[0, 1]]}',
+            "bad config: delta_coeffs must be a list of [m, n, value] triples; found [0, 1]",
+        ),
     ],
 )
 def test_cli_config_integers_are_validated(config, phrase, tmp_path, capsys):

@@ -26,15 +26,12 @@ from fermifock.vertex import (
     check_axioms,
     check_weak_associativity,
     iterate_series,
-    normal_order_modes,
-    ordered_factor_series,
     product_series,
     series_into,
-    y_coeff,
     y_series,
 )
 
-from oracles import enumerate_shuffles
+from oracles import enumerate_shuffles, normal_order_modes, ordered_factor_series, y_coeff
 
 SPACE = HSpace(2)
 E1, E2, F1, F2 = 0, 1, 2, 3
@@ -653,6 +650,57 @@ def test_merged_series_walk_matches_one_source_calls_and_mode_oracle():
             _assert_fraction_coefficients(series.coeffs)
             nonzero += len(want)
     assert nonzero
+
+
+def test_prefix_rows_match_one_source_calls_and_mode_oracle():
+    """The creation frontier keys a partial state by (suffix, rest of the
+    word, exps) and keeps the prefixes built so far in one row per key.
+    Three- and four-factor sources with many distinct heads over one shared
+    two-factor tail put many prefixes into each row, on three-word targets.
+    Two heads differ only in the order of their tuple slot (0, 1): they are
+    distinct suffixes that build the same prefix at the same exponents, so
+    with opposite scales that prefix cancels inside a middle-layer row,
+    where the prefix of a third head with the same slots survives.  The
+    merged call must equal the sum of one-source calls and the
+    mode-by-mode oracle."""
+    rng = random.Random(3131)
+    intervals = ((-3, 1), (-2, 1))
+    heads = [(g, m, var) for g in range(4) for m in (0, 1) for var in (0, 1, (0, 1))]
+    nonzero = 0
+    for space in (SPACE, HSpace(2, RATIONAL_GRAM)):
+        for _ in range(2):
+            tail = tuple((rng.randrange(4), 0, rng.choice((0, 1, (0, 1)))) for _ in range(2))
+            g, m = rng.randrange(4), rng.randint(0, 1)
+            pair = [(((g, m, (0, 1)),) + tail, 2), (((g, m, (1, 0)),) + tail, -2)]
+            sources = [((((g + 1) % 4, m, (0, 1)),) + tail, 1)]
+            sources += [((head,) + tail, rng.choice((1, -2, 3))) for head in rng.sample(heads, 6)]
+            sources += [(tuple(rng.sample(heads, 2)) + tail, rng.choice((1, -1))) for _ in range(2)]
+            v = _mixed_state(rng, 4, 3)
+            terms, D = v.row, v.den
+
+            merged = {}
+            series_into(space, pair + sources, terms, intervals, merged)
+            merged = wrap_table(merged, D)
+            separate = {}
+            for source in pair + sources:
+                series_into(space, (source,), terms, intervals, separate)
+            assert merged == wrap_table(separate, D)
+            cancelled = {}
+            series_into(space, pair, terms, intervals, cancelled)
+            assert not wrap_table(cancelled, D)
+
+            want = {}
+            for factors, scale in sources:
+                for cell, vec in _mode_oracle(space, factors, v, intervals).items():
+                    s = want.get(cell, FockVector()) + vec.scale(scale)
+                    if s:
+                        want[cell] = s
+                    else:
+                        want.pop(cell, None)
+            assert merged == want, sources
+            _assert_fraction_coefficients(merged)
+            nonzero += len(want)
+    assert nonzero >= 10
 
 
 def test_dead_mask_skip_matches_mode_oracle():
